@@ -58,6 +58,7 @@ from .rstats import (
     spearman,
     wilcoxon_group_vs_rest,
     wilcoxon_one_sided,
+    wilcoxon_per_feature,
 )
 from .multivar import factor_plot_medians, pca, project_first_plane
 
@@ -79,7 +80,7 @@ __all__ = [
     "kruskal_wallis", "kw_per_feature", "median_correlation", "pair_count",
     "pairwise_row_correlations", "parse_gmt", "pearson", "rank_features",
     "significant_features", "spearman", "wilcoxon_group_vs_rest",
-    "wilcoxon_one_sided",
+    "wilcoxon_one_sided", "wilcoxon_per_feature",
     "factor_plot_medians", "pca", "project_first_plane",
     "__version__",
 ]

@@ -74,10 +74,9 @@ from .rstats import (
     rank_features,
     significant_features,
     wilcoxon_group_vs_rest,
-    wilcoxon_one_sided,
+    wilcoxon_per_feature,
     write_results_tsv,
     read_results_tsv,
-    TestResult,
 )
 from .svgplot import build_plot_spec, render_svg
 from .transform import score_dataset
@@ -189,10 +188,6 @@ def _save_dataset_atomic(ds: Dataset, path: str | Path) -> None:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _load(path: str) -> Dataset:
-    return load_dataset(path)
-
-
 def _check_features(symbols, available) -> None:
     known = set(available)
     for s in symbols:
@@ -241,7 +236,7 @@ def cmd_ingest(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_score(args: argparse.Namespace, opts: Options) -> int:
-    ds = _load(args.dataset)
+    ds = load_dataset(args.dataset)
     out = score_dataset(ds, args.kind)
     _save_dataset_atomic(out, args.out)
     print(f"scored kind={args.kind} features={out.data.n_rows} "
@@ -252,7 +247,7 @@ def cmd_score(args: argparse.Namespace, opts: Options) -> int:
 def cmd_merge(args: argparse.Namespace, opts: Options) -> int:
     if len(args.datasets) < 2:
         raise _UsageError("merge needs at least two dataset directories")
-    dsets = [_load(p) for p in args.datasets]
+    dsets = [load_dataset(p) for p in args.datasets]
     merged = merge_datasets(dsets, name=opts.get("name"))
     _save_dataset_atomic(merged, args.out)
     print(f"merged datasets={len(dsets)} features={merged.data.n_rows} "
@@ -261,7 +256,7 @@ def cmd_merge(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_select(args: argparse.Namespace, opts: Options) -> int:
-    ds = _load(args.dataset)
+    ds = load_dataset(args.dataset)
     mode = opts.get("mode", "substring")
     op = exclude_samples if args.invert else select_samples
     try:
@@ -278,7 +273,7 @@ def cmd_select(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_partition(args: argparse.Namespace, opts: Options) -> int:
-    ds = _load(args.dataset)
+    ds = load_dataset(args.dataset)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s != ""]
     except ValueError:
@@ -295,7 +290,7 @@ def cmd_partition(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_median_cor(args: argparse.Namespace, opts: Options) -> int:
-    dsets = [_load(p) for p in args.datasets]
+    dsets = [load_dataset(p) for p in args.datasets]
     method = opts.get("method", "pearson")
     features, aligned = _aligned_matrices([d.data for d in dsets])
     medians = [median_column(m) for m in aligned]
@@ -324,7 +319,7 @@ def cmd_median_cor(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_pairwise(args: argparse.Namespace, opts: Options) -> int:
-    ds = _load(args.dataset)
+    ds = load_dataset(args.dataset)
     method = opts.get("method", "pearson")
     chunk = opts.get_int("chunk", 256)
     threads = opts.get_int("threads", 1)
@@ -337,26 +332,9 @@ def cmd_pairwise(args: argparse.Namespace, opts: Options) -> int:
     return 0
 
 
-def _wilcoxon_two_matrices(a: DataMatrix, b: DataMatrix, alternative: str,
-                           exact: bool | None) -> list[TestResult]:
-    features, (ma, mb) = _aligned_matrices([a, b])
-    results: list[TestResult] = []
-    for i, f in enumerate(features):
-        try:
-            results.append(wilcoxon_one_sided(ma.values[i], mb.values[i],
-                                              alternative, f, exact))
-        except (DegenerateDataError, ValueError):
-            results.append(TestResult(f, float("nan"), None, None, "none"))
-    return results
-
-
 def _kw_groups_by_field(ds: Dataset, field_name: str) -> list[DataMatrix]:
-    try:
-        values = ds.info.field(field_name)
-    except KeyError as exc:
-        raise _UsageError(str(exc).strip("'\"")) from None
     groups: dict[str, list[int]] = {}
-    for i, v in enumerate(values):
+    for i, v in enumerate(ds.info.field(field_name)):
         groups.setdefault(v, []).append(i)
     if len(groups) < 2:
         raise DegenerateDataError(
@@ -377,33 +355,27 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
     if len(args.datasets) == 1:
         if args.field is None:
             raise _UsageError("a single dataset needs --field to form groups")
-        ds = _load(args.datasets[0])
-        if args.test == "wilcoxon":
-            if args.keyword is None:
-                raise _UsageError("--test wilcoxon needs --keyword "
-                                  "to pick the comparison group")
-            try:
+        ds = load_dataset(args.datasets[0])
+        if args.test == "wilcoxon" and args.keyword is None:
+            raise _UsageError("--test wilcoxon needs --keyword "
+                              "to pick the comparison group")
+        try:
+            if args.test == "wilcoxon":
                 results = wilcoxon_group_vs_rest(ds, args.field, args.keyword,
                                                  alternative, mode, exact)
-            except KeyError as exc:
-                raise _UsageError(str(exc).strip("'\"")) from None
-            except ValueError as exc:
-                raise DegenerateDataError(str(exc)) from None
-        else:
-            if args.keyword is not None:
-                try:
-                    a = select_samples(ds, args.field, args.keyword, mode)
-                    b = exclude_samples(ds, args.field, args.keyword, mode)
-                except KeyError as exc:
-                    raise _UsageError(str(exc).strip("'\"")) from None
-                except ValueError as exc:
-                    raise DegenerateDataError(str(exc)) from None
-                groups = [a.data, b.data]
+            elif args.keyword is not None:
+                groups = [op(ds, args.field, args.keyword, mode).data
+                          for op in (select_samples, exclude_samples)]
             else:
                 groups = _kw_groups_by_field(ds, args.field)
+        except KeyError as exc:
+            raise _UsageError(str(exc).strip("'\"")) from None
+        except ValueError as exc:
+            raise DegenerateDataError(str(exc)) from None
+        if args.test == "kw":
             results = kw_per_feature(groups)
     else:
-        dsets = [_load(p) for p in args.datasets]
+        dsets = [load_dataset(p) for p in args.datasets]
         empty = [d.name for d in dsets if d.n_samples == 0]
         if empty:
             raise DegenerateDataError(f"empty group dataset {empty[0]!r}")
@@ -411,8 +383,8 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
             if len(dsets) != 2:
                 raise _UsageError("--test wilcoxon compares exactly "
                                   "two dataset groups")
-            results = _wilcoxon_two_matrices(dsets[0].data, dsets[1].data,
-                                             alternative, exact)
+            results = wilcoxon_per_feature(dsets[0].data, dsets[1].data,
+                                           alternative, exact)
         else:
             results = kw_per_feature([d.data for d in dsets])
 
@@ -448,7 +420,7 @@ def _feature_list(args: argparse.Namespace, opts: Options) -> list[str]:
 
 
 def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
-    dsets = [_load(p) for p in args.datasets]
+    dsets = [load_dataset(p) for p in args.datasets]
     if len(dsets) == 1:
         ds = dsets[0]
         if args.label_field is not None:
@@ -492,7 +464,7 @@ def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
 def cmd_factor_plot(args: argparse.Namespace, opts: Options) -> int:
     if len(args.datasets) < 3:
         raise _UsageError("factor-plot needs at least three datasets")
-    dsets = [_load(p) for p in args.datasets]
+    dsets = [load_dataset(p) for p in args.datasets]
     features, aligned = _aligned_matrices([d.data for d in dsets])
     medians = np.column_stack([median_column(m) for m in aligned])
     names = [d.name for d in dsets]
@@ -544,7 +516,7 @@ def cmd_enrich(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_split_het(args: argparse.Namespace, opts: Options) -> int:
-    ds = _load(args.dataset)
+    ds = load_dataset(args.dataset)
     if args.feature not in ds.data.row_names:
         raise _UnknownFeatureError(args.feature, ds.data.row_names)
     try:
@@ -692,6 +664,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Exit code per exception type, first match wins: ParseError and the
+# other package errors subclass ValueError, so they come before it.
+_EXIT_CODES = (
+    (_UsageError, EXIT_USAGE),
+    (ParseError, EXIT_PARSE),
+    (ManifestError, EXIT_PARSE),
+    (AnnotationError, EXIT_ANNOTATION),
+    (AlreadyScoredError, EXIT_ALREADY_SCORED),
+    (NoCommonFeaturesError, EXIT_NO_COMMON),
+    (DegenerateDataError, EXIT_DEGENERATE),
+    (_UnknownFeatureError, EXIT_UNKNOWN_FEATURE),
+    (_EmptyUniverseError, EXIT_EMPTY_UNIVERSE),
+    (ValueError, EXIT_USAGE),
+    (KeyError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -699,36 +689,9 @@ def main(argv=None) -> int:
         config = _load_config(getattr(args, "config", None))
         opts = Options(args, config, args.command)
         return args.func(args, opts)
-    except _UsageError as exc:
+    except tuple(t for t, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ManifestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AnnotationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANNOTATION
-    except AlreadyScoredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALREADY_SCORED
-    except NoCommonFeaturesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_COMMON
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _UnknownFeatureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_FEATURE
-    except _EmptyUniverseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_UNIVERSE
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for t, code in _EXIT_CODES if isinstance(exc, t))
 
 
 if __name__ == "__main__":

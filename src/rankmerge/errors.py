@@ -35,4 +35,5 @@ class NoCommonFeaturesError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """A rank test cannot be formed (all values tied, or a group is empty)."""
+    """A rank test cannot be formed (all values tied, a group is empty,
+    too few values, or an exact tail asked of tied data)."""

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnnotationError, ManifestError, ParseError
-from .matrix import DataMatrix, Dataset, InfoMatrix
+from .matrix import SCORE_KINDS, DataMatrix, Dataset, InfoMatrix
 
 FORMAT_VERSION = 1
 
@@ -303,35 +303,45 @@ INFO_FILE = "info.tsv"
 MANIFEST_FILE = "manifest.json"
 
 _MISSING_CELL = "NA"
+# numpy's parser skips these as whitespace around a number, float() does not
+_NON_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _write_tsv(path: Path, corner: str, col_names, row_names, fmt_row) -> None:
+def _write_tsv(path: Path, corner: str, col_names, row_names, row_texts) -> None:
+    sep = "\t" if col_names else ""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join([corner] + list(col_names)) + "\n")
-        for name, cells in zip(row_names, fmt_row()):
-            for c in cells:
-                if "\t" in c or "\n" in c:
-                    raise ValueError(
-                        f"cell in row {name!r} contains a tab or newline")
-            fh.write("\t".join([name] + cells) + "\n")
+        fh.write("\t".join([corner, *col_names]) + "\n")
+        for name, text in zip(row_names, row_texts):
+            fh.write(f"{name}{sep}{text}\n")
+
+
+def _data_texts(values: np.ndarray):
+    # a finite float's repr never contains "nan", so the replacement
+    # touches exactly the missing cells
+    for row in values:
+        yield "\t".join(map(repr, row.tolist())).replace("nan", _MISSING_CELL)
+
+
+def _info_texts(info: InfoMatrix):
+    for name, cells in zip(info.field_names, info.cells):
+        for c in cells:
+            if "\t" in c or "\n" in c:
+                raise ValueError(f"cell in row {name!r} contains a tab or newline")
+        yield "\t".join(cells)
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write data.tsv, info.tsv and manifest.json under ``path``."""
+    """Write data.tsv, info.tsv and manifest.json under ``path``.
+
+    Values are written as the shortest repr that reads back to the same
+    float, and missing values as "NA".
+    """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-
-    def data_rows():
-        for row in ds.data.values:
-            yield [_MISSING_CELL if math.isnan(v) else repr(float(v)) for v in row]
-
-    def info_rows():
-        yield from ([*cells] for cells in ds.info.cells)
-
     _write_tsv(root / DATA_FILE, "feature", ds.data.col_names,
-               ds.data.row_names, data_rows)
+               ds.data.row_names, _data_texts(ds.data.values))
     _write_tsv(root / INFO_FILE, "field", ds.info.col_names,
-               ds.info.field_names, info_rows)
+               ds.info.field_names, _info_texts(ds.info))
     manifest = {"name": ds.name, "version": FORMAT_VERSION, "score": ds.score,
                 "source": ds.source, "seed": ds.seed}
     with open(root / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as fh:
@@ -339,31 +349,73 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _read_tsv(path: Path) -> tuple[list[str], list[str], list[list[str]]]:
+def _read_tsv(path: Path) -> tuple[list[str], list[str], list[str], list[int]]:
+    """Header cells after the corner, then per row: name, the text after
+    the name and the 1-based line number.  Blank lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
         if not header:
             raise ParseError(f"{path.name}: empty file", 1)
         cols = header.split("\t")[1:]
         row_names: list[str] = []
-        rows: list[list[str]] = []
+        texts: list[str] = []
+        linenos: list[int] = []
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\r\n")
             if not line:
                 continue
-            cells = line.split("\t")
-            if len(cells) != 1 + len(cols):
+            n_cells = line.count("\t") + 1
+            if n_cells != 1 + len(cols):
                 raise ParseError(
                     f"{path.name}: expected {1 + len(cols)} cells, "
-                    f"got {len(cells)}", lineno)
-            row_names.append(cells[0])
-            rows.append(cells[1:])
-    return cols, row_names, rows
+                    f"got {n_cells}", lineno)
+            name, _, text = line.partition("\t")
+            row_names.append(name)
+            texts.append(text)
+            linenos.append(lineno)
+    return cols, row_names, texts, linenos
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Load a directory written by :func:`save_dataset` (lossless)."""
-    root = Path(path)
+def _bulk_values(texts: list[str], n_cols: int) -> np.ndarray | None:
+    """The data body in one numpy parse, or None where it rejects it."""
+    if any(c in t for t in texts for c in _NON_FLOAT_SPACE):
+        return None
+    lines = [t if _MISSING_CELL not in t else
+             "\t".join(["nan" if c == _MISSING_CELL else c for c in t.split("\t")])
+             for t in texts]
+    try:
+        values = np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(texts), n_cols) else None
+
+
+def _parse_values(texts: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
+    """The numeric body of data.tsv; "NA" cells become NaN.
+
+    One bulk parse reads the usual file.  Input it rejects goes to the
+    per-cell ``float()`` parser, which accepts a few more spellings
+    (such as "1_0") and names the line of a bad cell.
+    """
+    if texts and n_cols:
+        values = _bulk_values(texts, n_cols)
+        if values is not None:
+            return values
+    values = np.empty((len(texts), n_cols))
+    for i, (text, lineno) in enumerate(zip(texts, linenos)):
+        for j, cell in enumerate(text.split("\t") if n_cols else ()):
+            if cell == _MISSING_CELL:
+                values[i, j] = math.nan
+                continue
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{DATA_FILE}: non-numeric cell {cell!r}", lineno) from None
+    return values
+
+
+def _read_manifest(root: Path) -> dict:
     manifest_path = root / MANIFEST_FILE
     if not manifest_path.exists():
         raise ManifestError(f"{root}: no {MANIFEST_FILE}")
@@ -372,30 +424,39 @@ def load_dataset(path: str | Path) -> Dataset:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{root}: malformed manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{root}: manifest is not a JSON object")
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise ManifestError(
             f"{root}: format version {version!r} unsupported "
             f"(expected {FORMAT_VERSION})")
+    if manifest.get("name") in (None, ""):
+        raise ManifestError(f"{root}: manifest has no dataset name")
+    score = manifest.get("score", "none")
+    if score not in SCORE_KINDS:
+        raise ManifestError(f"{root}: unknown score state {score!r} "
+                            f"(expected one of {', '.join(SCORE_KINDS)})")
+    for name in (DATA_FILE, INFO_FILE):
+        if not (root / name).is_file():
+            raise ManifestError(f"{root}: no {name}")
+    return manifest
 
-    cols, features, data_cells = _read_tsv(root / DATA_FILE)
-    values = np.empty((len(features), len(cols)))
-    for i, row in enumerate(data_cells):
-        for j, cell in enumerate(row):
-            if cell == _MISSING_CELL:
-                values[i, j] = math.nan
-            else:
-                try:
-                    values[i, j] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{DATA_FILE}: non-numeric cell {cell!r}", i + 2) from None
-    data = DataMatrix(tuple(features), tuple(cols), values)
 
-    info_cols, fields, info_cells = _read_tsv(root / INFO_FILE)
+def load_dataset(path: str | Path) -> Dataset:
+    """Load a directory written by :func:`save_dataset` (lossless)."""
+    root = Path(path)
+    manifest = _read_manifest(root)
+
+    cols, features, texts, linenos = _read_tsv(root / DATA_FILE)
+    data = DataMatrix(tuple(features), tuple(cols),
+                      _parse_values(texts, linenos, len(cols)))
+
+    info_cols, fields, texts, _ = _read_tsv(root / INFO_FILE)
     info = InfoMatrix(tuple(fields), tuple(info_cols),
-                      tuple(tuple(r) for r in info_cells))
-    return Dataset(data, info, name=str(manifest.get("name", "")),
-                   score=str(manifest.get("score", "none")),
+                      tuple(tuple(t.split("\t")) if info_cols else ()
+                            for t in texts))
+    return Dataset(data, info, name=str(manifest["name"]),
+                   score=manifest.get("score", "none"),
                    source=str(manifest.get("source", "")),
                    seed=manifest.get("seed"))

@@ -197,13 +197,37 @@ class Dataset:
 # duplicate reduction
 # ---------------------------------------------------------------------------
 
-def _iqr(values: np.ndarray) -> float:
-    """Interquartile range over non-missing entries, type-7 quartiles."""
-    v = values[~np.isnan(values)]
-    if v.size == 0:
-        return float("nan")
-    q1, q3 = np.quantile(v, [0.25, 0.75])  # numpy default = linear (type 7)
-    return float(q3 - q1)
+def _row_iqrs(values: np.ndarray) -> np.ndarray:
+    """Interquartile range of each row over its non-missing entries.
+
+    Type-7 quartiles, computed for all rows at once the way
+    ``np.quantile`` computes them for one row (index (n - 1) * q, then
+    numpy's two-sided linear interpolation), so every value equals
+    it; only the sign of a zero may differ, as the two sorts may order
+    -0.0 and 0.0 differently.  NaN for a row without values.
+    """
+    srt = np.sort(values, axis=1)  # NaN sorts last
+    n = (~np.isnan(values)).sum(axis=1)
+    out = np.full(len(n), np.nan)
+    ok = n > 0
+    srt, n = srt[ok], n[ok]
+    rows = np.arange(len(n))
+
+    def quantile(q: float) -> np.ndarray:
+        v = (n - 1) * q
+        lo = np.floor(v)
+        # at the last index numpy takes the last value on both sides
+        # and measures the weight from index -1
+        top = v >= n - 1
+        a = srt[rows, np.where(top, n - 1, lo.astype(np.intp))]
+        b = srt[rows, np.where(top, n - 1, lo.astype(np.intp) + 1)]
+        t = v - np.where(top, -1.0, lo)
+        diff = b - a
+        return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        out[ok] = quantile(0.75) - quantile(0.25)
+    return out
 
 
 def reduce_duplicates(raw: DataMatrix) -> tuple[DataMatrix, list[str]]:
@@ -221,12 +245,17 @@ def reduce_duplicates(raw: DataMatrix) -> tuple[DataMatrix, list[str]]:
             order.append(name)
         groups[name].append(i)
 
+    all_missing = np.isnan(raw.values).all(axis=1).tolist()
+    repeated = [i for name in order if len(groups[name]) > 1
+                for i in groups[name]]
+    iqr = dict(zip(repeated, _row_iqrs(raw.values[repeated]).tolist()))
+
     keep: list[int] = []
     dropped: list[str] = []
     for name in order:
         rows = groups[name]
         if len(rows) == 1:
-            if np.all(np.isnan(raw.values[rows[0]])):
+            if all_missing[rows[0]]:
                 dropped.append(name)
             else:
                 keep.append(rows[0])
@@ -234,7 +263,7 @@ def reduce_duplicates(raw: DataMatrix) -> tuple[DataMatrix, list[str]]:
         best_i = -1
         best_iqr = -np.inf
         for i in rows:
-            spread = _iqr(raw.values[i])
+            spread = iqr[i]
             if np.isnan(spread):
                 continue  # all-missing candidates never win
             if spread > best_iqr:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -32,7 +32,7 @@ from .numerics import (
     log_choose,
     norm_upper_tail_ln,
 )
-from .transform import _midranks_dense
+from .transform import rank_rows
 
 DIRECTIONS = ("over", "under", "none")
 
@@ -93,7 +93,7 @@ def spearman(x, y) -> float:
     xc, yc = _complete_pair(x, y)
     if xc.size < 3:
         raise ValueError(f"need >= 3 complete pairs, have {xc.size}")
-    return pearson(_midranks_dense(xc), _midranks_dense(yc))
+    return pearson(*rank_rows(np.vstack([xc, yc]))[0])
 
 
 def correlation_threshold(n: int, alpha: float = 0.05, sided: str = "one") -> float:
@@ -174,10 +174,7 @@ def pairwise_row_correlations(m: DataMatrix,
     names = m.row_names
 
     if method == "spearman":
-        for i in range(n):
-            present = ~np.isnan(vals[i])
-            if present.any():
-                vals[i, present] = _midranks_dense(vals[i, present])
+        vals = rank_rows(vals)[0]
 
     finite_min = np.nanmin(vals, axis=1, initial=np.inf)
     finite_max = np.nanmax(vals, axis=1, initial=-np.inf)
@@ -248,42 +245,61 @@ def pairwise_row_correlations(m: DataMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Kruskal-Wallis
+# Kruskal-Wallis and one-sided Wilcoxon
 # ---------------------------------------------------------------------------
 
-def _tie_factor(pooled_ranksource: np.ndarray) -> float:
-    """1 - sum(t^3 - t) / (N^3 - N) over tie-group sizes t."""
-    n = pooled_ranksource.size
-    _, counts = np.unique(pooled_ranksource, return_counts=True)
-    correction = float(((counts.astype(float) ** 3) - counts).sum())
-    return 1.0 - correction / (float(n) ** 3 - n)
+def _pooled_ranks(groups: Sequence[np.ndarray]):
+    """Per-group rank sums (exact half-integers) and sizes of aligned
+    group matrices ranked together by row; per row the pooled size N,
+    the tie sum and the tie factor 1 - sum(t^3 - t) / (N^3 - N)."""
+    ranks, tie_sum, n = rank_rows(np.hstack(groups))
+    edges = np.cumsum([0] + [g.shape[1] for g in groups])
+    parts = [ranks[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tie = 1.0 - tie_sum / (n.astype(float) ** 3 - n)
+    return ([np.nansum(p, axis=1) for p in parts],
+            [(~np.isnan(p)).sum(axis=1) for p in parts], n, tie_sum, tie)
 
 
-def _kw_from_groups(groups: Sequence[np.ndarray], feature: str = "") -> TestResult:
-    """Kruskal-Wallis H and chi-square tail for pre-split value groups."""
+def _results(features: Sequence[str], statistic: np.ndarray, why: np.ndarray,
+             direction: str, p_value: Callable[[int, float], LogP]) -> list[TestResult]:
+    """The per-feature driver: a reason in ``why`` means no p-value."""
+    return [TestResult(f, math.nan, None, None, "none") if reason
+            else TestResult(f, stat, p_value(i, stat), None, direction)
+            for i, (f, stat, reason) in enumerate(zip(features, statistic.tolist(),
+                                                      why.tolist()))]
+
+
+def _single(results: list[TestResult], why: np.ndarray) -> TestResult:
+    """The one result of a scalar test; an untestable one raises."""
+    if why[0]:
+        raise DegenerateDataError(str(why[0]))
+    return results[0]
+
+
+def _aligned_rows(matrices: Sequence[DataMatrix]) -> tuple[list[str], list[np.ndarray]]:
+    """Sorted common features and each matrix's values in that order."""
+    features = common_rows(matrices)
+    indexes = [m.row_index() for m in matrices]
+    return features, [m.values[[idx[f] for f in features]]
+                      for m, idx in zip(matrices, indexes)]
+
+
+def _kw_results(features: Sequence[str], groups: Sequence[np.ndarray]):
+    """Tie-corrected Kruskal-Wallis H per row of k aligned group
+    matrices, in the same scalar operation order for every row."""
     k = len(groups)
-    if k < 2:
-        raise ValueError("need at least two groups")
-    sizes = [g.size for g in groups]
-    if any(s == 0 for s in sizes):
-        raise DegenerateDataError("empty group")
-    pooled = np.concatenate(groups)
-    n = pooled.size
-    if n < k + 1:
-        raise ValueError(f"need more than {k} values overall, have {n}")
-    tie = _tie_factor(pooled)
-    if tie == 0.0:
-        raise DegenerateDataError("all values tied")
-    ranks = _midranks_dense(pooled)
-    h = 0.0
-    start = 0
-    for s in sizes:
-        rsum = float(ranks[start:start + s].sum())
-        h += rsum * rsum / s
-        start += s
-    h = 12.0 / (n * (n + 1.0)) * h - 3.0 * (n + 1.0)
-    h = max(h / tie, 0.0)
-    return TestResult(feature, h, chi_sq_upper_tail_ln(h, k - 1), None, "none")
+    sums, sizes, n, _, tie = _pooled_ranks(groups)
+    h = np.zeros(len(n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rsum, s in zip(sums, sizes):
+            h += rsum * rsum / s
+        h = np.maximum((12.0 / (n * (n + 1.0)) * h - 3.0 * (n + 1.0)) / tie, 0.0)
+    why = np.select([np.min(sizes, axis=0) == 0, n < k + 1, tie == 0.0],
+                    ["empty group", f"need more than {k} values overall",
+                     "all values tied"], "")
+    return _results(features, h, why, "none",
+                    lambda i, stat: chi_sq_upper_tail_ln(stat, k - 1)), why
 
 
 def kruskal_wallis(values, labels, feature: str = "") -> TestResult:
@@ -299,17 +315,11 @@ def kruskal_wallis(values, labels, feature: str = "") -> TestResult:
         raise ValueError("values and labels must be 1-d and aligned")
     keep = ~np.isnan(vals)
     vals, labs = vals[keep], labs[keep]
-    order: list = []
-    groups: dict = {}
-    for v, g in zip(vals, labs):
-        if g not in groups:
-            groups[g] = []
-            order.append(g)
-        groups[g].append(v)
-    if len(order) < 2:
+    _, first = np.unique(labs, return_index=True)
+    if len(first) < 2:
         raise ValueError("need at least two distinct labels")
-    return _kw_from_groups([np.asarray(groups[g], dtype=float) for g in order],
-                           feature)
+    rows = [vals[labs == g][None, :] for g in labs[np.sort(first)]]
+    return _single(*_kw_results([feature], rows))
 
 
 def kw_per_feature(group_matrices: Sequence[DataMatrix]) -> list[TestResult]:
@@ -321,42 +331,65 @@ def kw_per_feature(group_matrices: Sequence[DataMatrix]) -> list[TestResult]:
     """
     if len(group_matrices) < 2:
         raise ValueError("need at least two group matrices")
-    features = common_rows(group_matrices)
-    indexes = [m.row_index() for m in group_matrices]
-    results: list[TestResult] = []
-    for f in features:
-        groups = []
-        for m, idx in zip(group_matrices, indexes):
-            row = m.values[idx[f]]
-            groups.append(row[~np.isnan(row)])
-        try:
-            results.append(_kw_from_groups(groups, f))
-        except (DegenerateDataError, ValueError):
-            results.append(TestResult(f, float("nan"), None, None, "none"))
-    return results
+    return _kw_results(*_aligned_rows(group_matrices))[0]
 
-
-# ---------------------------------------------------------------------------
-# one-sided Wilcoxon / Mann-Whitney
-# ---------------------------------------------------------------------------
 
 ALTERNATIVES = ("A_greater", "A_less")
 
 EXACT_SIZE_LIMIT = 12
 
 
+@lru_cache(maxsize=256)
+def _rank_sum_counts(n_a: int, n_b: int) -> tuple[int, ...]:
+    """How many n_a-subsets of the ranks 1..n_a+n_b sum to n_a(n_a+1)/2 + s,
+    for each s, by the subset-sum recurrence over the ranks."""
+    top = n_a * (2 * n_b + n_a + 1) // 2
+    ways = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(n_a)]
+    for r in range(1, n_a + n_b + 1):
+        for j in range(min(r, n_a), 0, -1):
+            for s in range(top, r - 1, -1):
+                ways[j][s] += ways[j - 1][s - r]
+    return tuple(ways[n_a][n_a * (n_a + 1) // 2:])
+
+
 def _wilcoxon_exact_tail_ln(n_a: int, n_b: int, rank_sum_a: int,
                             alternative: str) -> float:
-    """ln p by enumerating every assignment of distinct ranks to group A."""
-    n = n_a + n_b
-    total = math.comb(n, n_a)
-    if alternative == "A_greater":
-        count = sum(1 for c in combinations(range(1, n + 1), n_a)
-                    if sum(c) >= rank_sum_a)
-    else:
-        count = sum(1 for c in combinations(range(1, n + 1), n_a)
-                    if sum(c) <= rank_sum_a)
-    return math.log(count) - math.log(total)
+    """ln p from the exact null distribution of group A's rank sum."""
+    counts = _rank_sum_counts(n_a, n_b)
+    k = rank_sum_a - n_a * (n_a + 1) // 2
+    count = sum(counts[k:]) if alternative == "A_greater" else sum(counts[:k + 1])
+    return math.log(count) - math.log(math.comb(n_a + n_b, n_a))
+
+
+def _wilcoxon_results(features: Sequence[str], a: np.ndarray, b: np.ndarray,
+                      alternative: str, exact: bool | None):
+    """One-sided rank-sum test per row of two aligned group matrices,
+    in the same scalar operation order for every row."""
+    if alternative not in ALTERNATIVES:
+        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
+    (sum_a, _), (n_a, n_b), n, tie_sum, tie = _pooled_ranks([a, b])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = sum_a - n_a * (n_a + 1) / 2.0
+        mean_u = n_a * n_b / 2.0
+        sd_u = np.sqrt(tie * n_a * n_b * (n + 1) / 12.0)
+        statistic = (u - mean_u) / sd_u
+        z = ((u - mean_u - 0.5) if alternative == "A_greater"
+             else (mean_u - u - 0.5)) / sd_u
+    use_exact = (n <= EXACT_SIZE_LIMIT) & (tie_sum == 0.0) if exact is None \
+        else np.full(len(n), exact)
+    why = np.select([(n_a < 1) | (n_b < 1), n < 4, tie == 0.0,
+                     use_exact & (tie_sum > 0.0)],
+                    ["empty group", "need at least 4 values overall",
+                     "all values tied", "exact enumeration requires tie-free data"], "")
+
+    def p_value(i: int, _stat: float) -> LogP:
+        if use_exact[i]:
+            return LogP(_wilcoxon_exact_tail_ln(int(n_a[i]), int(n_b[i]),
+                                                round(float(sum_a[i])), alternative))
+        return norm_upper_tail_ln(z[i])
+
+    direction = "over" if alternative == "A_greater" else "under"
+    return _results(features, statistic, why, direction, p_value), why
 
 
 def wilcoxon_one_sided(a, b, alternative: str = "A_greater",
@@ -369,45 +402,17 @@ def wilcoxon_one_sided(a, b, alternative: str = "A_greater",
     pass ``exact=False`` to force the approximation or ``exact=True``
     to require enumeration.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    av = av[~np.isnan(av)]
-    bv = bv[~np.isnan(bv)]
-    n_a, n_b = av.size, bv.size
-    if n_a < 1 or n_b < 1:
-        raise DegenerateDataError("empty group")
-    n = n_a + n_b
-    if n < 4:
-        raise ValueError(f"need at least 4 values overall, have {n}")
-    pooled = np.concatenate([av, bv])
-    tie = _tie_factor(pooled)
-    if tie == 0.0:
-        raise DegenerateDataError("all values tied")
-    has_ties = np.unique(pooled).size < n
+    rows = [np.asarray(v, dtype=float).reshape(1, -1) for v in (a, b)]
+    return _single(*_wilcoxon_results([feature], *rows, alternative, exact))
 
-    ranks = _midranks_dense(pooled)
-    rank_sum_a = float(ranks[:n_a].sum())
-    u = rank_sum_a - n_a * (n_a + 1) / 2.0
-    mean_u = n_a * n_b / 2.0
-    sd_u = math.sqrt(tie * n_a * n_b * (n + 1) / 12.0)
-    statistic = (u - mean_u) / sd_u
-    direction = "over" if alternative == "A_greater" else "under"
 
-    use_exact = (exact is True) or (exact is None and n <= EXACT_SIZE_LIMIT
-                                    and not has_ties)
-    if use_exact:
-        if has_ties:
-            raise ValueError("exact enumeration requires tie-free data")
-        ln_p = _wilcoxon_exact_tail_ln(n_a, n_b, round(rank_sum_a), alternative)
-        return TestResult(feature, statistic, LogP(ln_p), None, direction)
-
-    if alternative == "A_greater":
-        z = (u - mean_u - 0.5) / sd_u
-    else:
-        z = (mean_u - u - 0.5) / sd_u
-    return TestResult(feature, statistic, norm_upper_tail_ln(z), None, direction)
+def wilcoxon_per_feature(group_a: DataMatrix, group_b: DataMatrix,
+                         alternative: str = "A_greater",
+                         exact: bool | None = None) -> list[TestResult]:
+    """Per-feature one-sided Wilcoxon of two groups on their common
+    features; degenerate features get no p-value."""
+    features, (a, b) = _aligned_rows([group_a, group_b])
+    return _wilcoxon_results(features, a, b, alternative, exact)[0]
 
 
 def wilcoxon_group_vs_rest(ds: Dataset, field_name: str, keyword: str,
@@ -424,15 +429,8 @@ def wilcoxon_group_vs_rest(ds: Dataset, field_name: str, keyword: str,
     rest = exclude_samples(ds, field_name, keyword, mode)
     if rest.n_samples == ds.n_samples:
         raise ValueError(f"keyword {keyword!r} selects no sample")
-    results: list[TestResult] = []
-    for i, f in enumerate(ds.data.row_names):
-        try:
-            results.append(wilcoxon_one_sided(sel.data.values[i],
-                                              rest.data.values[i],
-                                              alternative, f, exact))
-        except (DegenerateDataError, ValueError):
-            results.append(TestResult(f, float("nan"), None, None, "none"))
-    return results
+    return _wilcoxon_results(ds.data.row_names, sel.data.values,
+                             rest.data.values, alternative, exact)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -643,3 +643,30 @@ class TestConfigAndPlumbing:
         code, _, _ = run(capsys, "split-het", tmp_path / "nowhere",
                          "--feature", "X")
         assert code == 2
+
+
+def _edit_manifest(root, **changes):
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest.update(changes)
+    manifest = {k: v for k, v in manifest.items() if v is not None}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda root: (root / "manifest.json").write_text("[1, 2]"),
+                 id="json_list"),
+    pytest.param(lambda root: _edit_manifest(root, score="bogus"),
+                 id="unknown_score"),
+    pytest.param(lambda root: _edit_manifest(root, name=None),
+                 id="missing_name"),
+    pytest.param(lambda root: _edit_manifest(root, name=""), id="empty_name"),
+    pytest.param(lambda root: (root / "info.tsv").unlink(), id="missing_info"),
+    pytest.param(lambda root: (root / "data.tsv").unlink(), id="missing_data"),
+])
+def test_bad_dataset_directory_exit_2(tmp_path, capsys, spoil):
+    ds = make_ds(tmp_path, "d", ["A", "B"], ["s1", "s2"], [[1, 2], [3, 4]])
+    spoil(Path(ds))
+    code, _, stderr = run(capsys, "score", ds, "--kind", "vdw",
+                          "--out", tmp_path / "out")
+    assert code == 2
+    assert stderr.startswith("error: ") and "Traceback" not in stderr

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rankmerge.errors import AnnotationError, ManifestError, ParseError
 from rankmerge.ingest import (
     AnnotationResult,
@@ -302,3 +305,144 @@ class TestSaveLoad:
             DataMatrix(("G",), ("s1",), np.array([[1.0]])),
             InfoMatrix((), ("s1",), ()), 0, 0)
         assert res.n_unmapped == 0
+
+
+# ---------------------------------------------------------------------------
+# the data.tsv codec
+# ---------------------------------------------------------------------------
+
+def dataset_of(values):
+    values = np.asarray(values, dtype=float)
+    rows = tuple(f"g{i}" for i in range(values.shape[0]))
+    cols = tuple(f"s{j}" for j in range(values.shape[1]))
+    return Dataset(DataMatrix(rows, cols, values), InfoMatrix((), cols, ()),
+                   name="codec")
+
+
+def write_data(tmp_path, text):
+    """A dataset directory whose data.tsv is ``text``."""
+    out = tmp_path / "ds"
+    save_dataset(dataset_of([[1.0]]), out)
+    (out / "data.tsv").write_bytes(text.encode())
+    header = text.splitlines()[0].split("\t")
+    (out / "info.tsv").write_text("\t".join(["field", *header[1:]]) + "\n")
+    return out
+
+
+class TestDataCodec:
+    def test_special_values_round_trip_bitwise(self, tmp_path):
+        vals = np.array([[NA, -0.0, np.inf, -np.inf, 5e-324, 0.1,
+                          -1.7976931348623157e308, 1e-05, 1e16]])
+        save_dataset(dataset_of(vals), tmp_path / "ds")
+        text = (tmp_path / "ds" / "data.tsv").read_text()
+        assert text.splitlines()[1] == (
+            "g0\tNA\t-0.0\tinf\t-inf\t5e-324\t0.1"
+            "\t-1.7976931348623157e+308\t1e-05\t1e+16")
+        back = load_dataset(tmp_path / "ds").data.values
+        assert back.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 4), (5, 1), (3, 0)])
+    def test_degenerate_shapes_round_trip(self, tmp_path, shape):
+        ds = dataset_of(np.arange(float(shape[0] * shape[1])).reshape(shape))
+        save_dataset(ds, tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds") == ds
+
+    def test_crlf_line_endings(self, tmp_path):
+        out = write_data(tmp_path, "feature\ts1\ts2\r\nA\t1.5\tNA\r\n"
+                                   "B\t-2\t3e2\r\n")
+        back = load_dataset(out).data
+        assert back.row_names == ("A", "B") and back.col_names == ("s1", "s2")
+        assert np.array_equal(back.values, [[1.5, NA], [-2.0, 300.0]],
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("cell", ["NAB", "1,5", "", " ", "0x10", "na"])
+    def test_bad_cell_names_its_line(self, tmp_path, cell):
+        out = write_data(tmp_path, f"feature\ts1\ts2\nA\t1\t2\n\n"
+                                   f"B\t3\t{cell}\n")
+        with pytest.raises(ParseError, match="line 4") as exc:
+            load_dataset(out)
+        assert exc.value.line == 4 and repr(cell) in str(exc.value)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        out = write_data(tmp_path, "feature\ts1\ts2\nA\t1\t2\nB\t3\n")
+        with pytest.raises(ParseError, match="line 3.*expected 3 cells, got 2"):
+            load_dataset(out)
+
+    def test_cells_only_float_accepts_still_load(self, tmp_path):
+        out = write_data(tmp_path, "feature\ts1\ts2\nA\t1_0\t\u0661\n")
+        assert load_dataset(out).data.values.tolist() == [[10.0, 1.0]]
+
+    def test_separator_characters_are_not_whitespace(self, tmp_path):
+        out = write_data(tmp_path, "feature\ts1\nA\t\x1c1\n")
+        with pytest.raises(ParseError):
+            load_dataset(out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.sampled_from(["NA", "nan", "-inf", "Infinity", "1e500", "-0", "1.",
+                         ".5", "+3", "1_0", "NA ", " 2", "N A", "#1", "'1'"]),
+        st.floats(allow_nan=False).map(repr),
+        st.text("0123456789.eE+-naifNAIF_ ,", max_size=5)),
+        min_size=2, max_size=2), min_size=1, max_size=4))
+    def test_bulk_parse_agrees_with_float(self, tmp_path_factory, rows):
+        """Whatever the cells, the result is what float() makes of them."""
+        want, bad_line = [], None
+        for lineno, cells in enumerate(rows, start=2):
+            try:
+                want.append([NA if c == "NA" else float(c) for c in cells])
+            except ValueError:
+                bad_line = bad_line or lineno
+        body = "".join(f"r{i}\t" + "\t".join(cells) + "\n"
+                       for i, cells in enumerate(rows))
+        out = write_data(tmp_path_factory.mktemp("fz"), "feature\ts1\ts2\n" + body)
+        if bad_line is not None:
+            with pytest.raises(ParseError) as exc:
+                load_dataset(out)
+            assert exc.value.line == bad_line
+            return
+        got = load_dataset(out).data.values
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# manifest validation
+# ---------------------------------------------------------------------------
+
+def _manifest_list(root):
+    (root / "manifest.json").write_text("[1, 2]")
+
+
+def _manifest_edit(**changes):
+    def edit(root):
+        manifest = json.loads((root / "manifest.json").read_text())
+        for key, value in changes.items():
+            if value is None:
+                manifest.pop(key)
+            else:
+                manifest[key] = value
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    return edit
+
+
+def _remove(name):
+    return lambda root: (root / name).unlink()
+
+
+BAD_MANIFESTS = {
+    "json_list": (_manifest_list, "JSON object"),
+    "unknown_score": (_manifest_edit(score="bogus"), "score"),
+    "missing_name": (_manifest_edit(name=None), "name"),
+    "empty_name": (_manifest_edit(name=""), "name"),
+    "missing_info": (_remove("info.tsv"), "info.tsv"),
+    "missing_data": (_remove("data.tsv"), "data.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_bad_dataset_directory_is_manifest_error(tmp_path, case):
+    spoil, fragment = BAD_MANIFESTS[case]
+    out = tmp_path / "toy"
+    save_dataset(toy_dataset(), out)
+    spoil(out)
+    with pytest.raises(ManifestError, match=fragment):
+        load_dataset(out)

@@ -182,6 +182,50 @@ class TestReduceDuplicates:
         assert set(dropped) == set(names) - live
 
 
+def reduce_reference(m):
+    """The per-row loop: np.quantile IQR per duplicate, first wins ties."""
+    groups = {}
+    for i, name in enumerate(m.row_names):
+        groups.setdefault(name, []).append(i)
+    keep = []
+    for rows in groups.values():
+        if len(rows) == 1:
+            if not np.isnan(m.values[rows[0]]).all():
+                keep.append(rows[0])
+            continue
+        best_i, best = -1, -np.inf
+        for i in rows:
+            v = m.values[i][~np.isnan(m.values[i])]
+            if v.size == 0:
+                continue
+            with np.errstate(invalid="ignore", over="ignore"):
+                q1, q3 = np.quantile(v, [0.25, 0.75])
+            spread = float(q3 - q1)
+            if not np.isnan(spread) and spread > best:
+                best_i, best = i, spread
+        if best_i >= 0:
+            keep.append(best_i)
+    return keep
+
+
+class TestReduceDuplicatesAgainstQuantile:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from("UVW"),
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf,
+                                            -np.inf, 1e308, -1e308]),
+                           st.floats(-50, 50), st.none()),
+                 min_size=4, max_size=4)),
+        min_size=1, max_size=9))
+    def test_same_rows_kept_as_the_quantile_loop(self, spec):
+        m = dm([name for name, _ in spec], ["c1", "c2", "c3", "c4"],
+               [[NA if v is None else v for v in vals] for _, vals in spec])
+        out, _ = reduce_duplicates(m)
+        want = reduce_reference(m)
+        assert out.row_names == tuple(m.row_names[i] for i in want)
+        assert out.values.tobytes() == m.values[want].tobytes()
+
+
 class TestCommonRows:
     def test_intersection_sorted(self):
         ms = [dm(["A", "B", "C"], ["c1"], [[1], [2], [3]]),
