@@ -11,10 +11,15 @@ whose header row starts with the cell ID_REF followed by unique sample
 accessions.  Empty and "null" table cells are missing values.  CRLF
 line endings are tolerated everywhere.
 
-A dataset directory persists as three files: ``data.tsv`` (features x
-samples, "NA" for missing), ``info.tsv`` (metadata fields x samples)
-and ``manifest.json`` (name, format version, score state, source,
-seed).
+A dataset directory (format version 2) holds four files:
+``manifest.json`` (name, format version, score state, source, seed),
+``info.tsv`` (metadata fields x samples; its header names the samples),
+``features.txt`` (one feature name per line) and ``data.npy`` (the
+values as a float64 features x samples array, NaN for missing).  No
+value passes through text, so a save and a load cost no float
+formatting or parsing.  Version 1 directories, whose values are text
+in ``data.tsv`` ("NA" for missing), are still read but no longer
+written.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .errors import AnnotationError, ManifestError, ParseError
 from .matrix import SCORE_KINDS, DataMatrix, Dataset, InfoMatrix
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # written; version 1 is still read
 
 TABLE_BEGIN = "!series_matrix_table_begin"
 TABLE_END = "!series_matrix_table_end"
@@ -298,50 +303,52 @@ def annotate(doc: SeriesMatrixDocument,
 # dataset persistence
 # ---------------------------------------------------------------------------
 
-DATA_FILE = "data.tsv"
 INFO_FILE = "info.tsv"
 MANIFEST_FILE = "manifest.json"
+FEATURES_FILE = "features.txt"
+DATA_FILE = "data.npy"
+V1_DATA_FILE = "data.tsv"
+
+# the files each readable format version keeps beside its manifest
+_VERSION_FILES = {1: (V1_DATA_FILE, INFO_FILE),
+                  2: (FEATURES_FILE, DATA_FILE, INFO_FILE)}
 
 _MISSING_CELL = "NA"
 # numpy's parser skips these as whitespace around a number, float() does not
 _NON_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+_BREAKS = "\t\r\n"
 
 
-def _write_tsv(path: Path, corner: str, col_names, row_names, row_texts) -> None:
-    sep = "\t" if col_names else ""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join([corner, *col_names]) + "\n")
-        for name, text in zip(row_names, row_texts):
-            fh.write(f"{name}{sep}{text}\n")
-
-
-def _data_texts(values: np.ndarray):
-    # a finite float's repr never contains "nan", so the replacement
-    # touches exactly the missing cells
-    for row in values:
-        yield "\t".join(map(repr, row.tolist())).replace("nan", _MISSING_CELL)
-
-
-def _info_texts(info: InfoMatrix):
-    for name, cells in zip(info.field_names, info.cells):
-        for c in cells:
-            if "\t" in c or "\n" in c:
-                raise ValueError(f"cell in row {name!r} contains a tab or newline")
-        yield "\t".join(cells)
+def _check_text(what: str, texts) -> None:
+    if any(c in "".join(texts) for c in _BREAKS):
+        bad = next(t for t in texts if any(c in t for c in _BREAKS))
+        raise ValueError(f"{what} {bad!r} contains a tab or line break")
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write data.tsv, info.tsv and manifest.json under ``path``.
+    """Write a format-2 dataset directory under ``path``.
 
-    Values are written as the shortest repr that reads back to the same
-    float, and missing values as "NA".
+    ``data.npy`` holds the values as C-order float64 (NaN for missing),
+    so they read back bit for bit.  A feature name, sample name, info
+    field name or info cell holding a tab, CR or LF is a ValueError:
+    the text files could not be read back.
     """
+    _check_text("feature name", ds.data.row_names)
+    _check_text("sample name", ds.data.col_names)
+    _check_text("info field name", ds.info.field_names)
+    for name, cells in zip(ds.info.field_names, ds.info.cells):
+        _check_text(f"info cell of field {name!r}", cells)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    _write_tsv(root / DATA_FILE, "feature", ds.data.col_names,
-               ds.data.row_names, _data_texts(ds.data.values))
-    _write_tsv(root / INFO_FILE, "field", ds.info.col_names,
-               ds.info.field_names, _info_texts(ds.info))
+    with open(root / INFO_FILE, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\t".join(["field", *ds.info.col_names]) + "\n")
+        for name, cells in zip(ds.info.field_names, ds.info.cells):
+            fh.write("\t".join([name, *cells]) + "\n")
+    with open(root / FEATURES_FILE, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{name}\n" for name in ds.data.row_names)
+    with open(root / DATA_FILE, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(ds.data.values, dtype=np.float64),
+                allow_pickle=False)
     manifest = {"name": ds.name, "version": FORMAT_VERSION, "score": ds.score,
                 "source": ds.source, "seed": ds.seed}
     with open(root / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as fh:
@@ -391,7 +398,7 @@ def _bulk_values(texts: list[str], n_cols: int) -> np.ndarray | None:
 
 
 def _parse_values(texts: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
-    """The numeric body of data.tsv; "NA" cells become NaN.
+    """The numeric body of a version-1 data.tsv; "NA" cells become NaN.
 
     One bulk parse reads the usual file.  Input it rejects goes to the
     per-cell ``float()`` parser, which accepts a few more spellings
@@ -411,8 +418,36 @@ def _parse_values(texts: list[str], linenos: list[int], n_cols: int) -> np.ndarr
                 values[i, j] = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"{DATA_FILE}: non-numeric cell {cell!r}", lineno) from None
+                    f"{V1_DATA_FILE}: non-numeric cell {cell!r}", lineno) from None
     return values
+
+
+def _read_v1_data(root: Path) -> DataMatrix:
+    cols, features, texts, linenos = _read_tsv(root / V1_DATA_FILE)
+    return DataMatrix(tuple(features), tuple(cols),
+                      _parse_values(texts, linenos, len(cols)))
+
+
+def _read_v2_data(root: Path, cols: tuple[str, ...]) -> DataMatrix:
+    """features.txt and data.npy; the samples are the info.tsv columns."""
+    with open(root / FEATURES_FILE, encoding="utf-8") as fh:
+        features = fh.read().split("\n")
+    if features[-1] == "":
+        features.pop()
+    try:
+        # read_array, unlike np.load, never opens a zip archive
+        with open(root / DATA_FILE, "rb") as fh:
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError, OSError) as exc:
+        raise ParseError(f"{DATA_FILE}: cannot read: {exc}") from None
+    if values.dtype.kind != "f" or values.dtype.itemsize != 8:
+        raise ParseError(f"{DATA_FILE}: dtype {values.dtype} is not float64")
+    if values.shape != (len(features), len(cols)):
+        raise ParseError(
+            f"{DATA_FILE}: shape {values.shape} does not match "
+            f"{len(features)} features x {len(cols)} samples")
+    # DataMatrix converts a big-endian array to native float64
+    return DataMatrix(tuple(features), cols, values)
 
 
 def _read_manifest(root: Path) -> dict:
@@ -427,35 +462,35 @@ def _read_manifest(root: Path) -> dict:
     if not isinstance(manifest, dict):
         raise ManifestError(f"{root}: manifest is not a JSON object")
     version = manifest.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in _VERSION_FILES:
         raise ManifestError(
             f"{root}: format version {version!r} unsupported "
-            f"(expected {FORMAT_VERSION})")
+            f"(expected one of {', '.join(map(str, _VERSION_FILES))})")
     if manifest.get("name") in (None, ""):
         raise ManifestError(f"{root}: manifest has no dataset name")
     score = manifest.get("score", "none")
     if score not in SCORE_KINDS:
         raise ManifestError(f"{root}: unknown score state {score!r} "
                             f"(expected one of {', '.join(SCORE_KINDS)})")
-    for name in (DATA_FILE, INFO_FILE):
+    for name in _VERSION_FILES[version]:
         if not (root / name).is_file():
             raise ManifestError(f"{root}: no {name}")
     return manifest
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load a directory written by :func:`save_dataset` (lossless)."""
+    """Load a directory written by :func:`save_dataset` (lossless).
+
+    Format 1 directories (values as text in ``data.tsv``) still load.
+    """
     root = Path(path)
     manifest = _read_manifest(root)
-
-    cols, features, texts, linenos = _read_tsv(root / DATA_FILE)
-    data = DataMatrix(tuple(features), tuple(cols),
-                      _parse_values(texts, linenos, len(cols)))
-
     info_cols, fields, texts, _ = _read_tsv(root / INFO_FILE)
     info = InfoMatrix(tuple(fields), tuple(info_cols),
                       tuple(tuple(t.split("\t")) if info_cols else ()
                             for t in texts))
+    data = _read_v1_data(root) if manifest["version"] == 1 \
+        else _read_v2_data(root, info.col_names)
     return Dataset(data, info, name=str(manifest["name"]),
                    score=manifest.get("score", "none"),
                    source=str(manifest.get("source", "")),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -470,7 +470,8 @@ def apply_fdr(results: Sequence[TestResult]) -> list[TestResult]:
     adjusted = benjamini_yekutieli([results[i].p_raw for i in tested])
     out = list(results)
     for i, adj in zip(tested, adjusted):
-        out[i] = replace(results[i], p_adjusted=adj)
+        r = results[i]
+        out[i] = TestResult(r.feature, r.statistic, r.p_raw, adj, r.direction)
     return out
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
            "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac")
@@ -20,6 +19,12 @@ MARGIN_LEFT = 64
 MARGIN_RIGHT = 160  # room for the legend
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 48
+
+
+def escape(text: str) -> str:
+    """XML text escaping as ``xml.sax.saxutils.escape`` does it, without
+    that import, which pulls in urllib and http.client at startup."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -652,6 +655,18 @@ def _edit_manifest(root, **changes):
     (root / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _to_v1(root):
+    """Rewrite a saved directory in format 1: values as text in data.tsv."""
+    ds = load_dataset(root)
+    lines = ["\t".join(["feature", *ds.data.col_names])]
+    lines += ["\t".join([name, *("NA" if math.isnan(v) else repr(v) for v in row)])
+              for name, row in zip(ds.data.row_names, ds.data.values.tolist())]
+    (root / "data.tsv").write_text("\n".join(lines) + "\n")
+    (root / "data.npy").unlink()
+    (root / "features.txt").unlink()
+    _edit_manifest(root, version=1)
+
+
 @pytest.mark.parametrize("spoil", [
     pytest.param(lambda root: (root / "manifest.json").write_text("[1, 2]"),
                  id="json_list"),
@@ -661,7 +676,8 @@ def _edit_manifest(root, **changes):
                  id="missing_name"),
     pytest.param(lambda root: _edit_manifest(root, name=""), id="empty_name"),
     pytest.param(lambda root: (root / "info.tsv").unlink(), id="missing_info"),
-    pytest.param(lambda root: (root / "data.tsv").unlink(), id="missing_data"),
+    pytest.param(lambda root: (_to_v1(root), (root / "data.tsv").unlink()),
+                 id="missing_data"),
 ])
 def test_bad_dataset_directory_exit_2(tmp_path, capsys, spoil):
     ds = make_ds(tmp_path, "d", ["A", "B"], ["s1", "s2"], [[1, 2], [3, 4]])
@@ -670,3 +686,16 @@ def test_bad_dataset_directory_exit_2(tmp_path, capsys, spoil):
                           "--out", tmp_path / "out")
     assert code == 2
     assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+
+def test_cli_import_leaves_out_url_modules():
+    """saxutils would pull urllib.request and http.client into every run."""
+    import rankmerge
+    src = Path(rankmerge.__file__).resolve().parent.parent
+    code = ("import sys, rankmerge.cli; "
+            "print(sorted(m for m in ('urllib.request', 'http.client') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

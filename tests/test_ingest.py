@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmerge.cli import main
 from rankmerge.errors import AnnotationError, ManifestError, ParseError
 from rankmerge.ingest import (
     AnnotationResult,
@@ -235,6 +236,25 @@ def toy_dataset():
                    seed=7)
 
 
+def write_v1(ds, root):
+    """A format-1 directory, written the way bench/gen.py writes one:
+    values as float repr text in data.tsv, "NA" for missing."""
+    root.mkdir(parents=True, exist_ok=True)
+    lines = ["\t".join(["feature", *ds.data.col_names])]
+    for name, row in zip(ds.data.row_names, ds.data.values.tolist()):
+        lines.append("\t".join(
+            [name] + ["NA" if math.isnan(v) else repr(v) for v in row]))
+    (root / "data.tsv").write_text("\n".join(lines) + "\n")
+    info = ["\t".join(["field", *ds.info.col_names])]
+    info += ["\t".join([f, *cells])
+             for f, cells in zip(ds.info.field_names, ds.info.cells)]
+    (root / "info.tsv").write_text("\n".join(info) + "\n")
+    manifest = {"name": ds.name, "version": 1, "score": ds.score,
+                "source": ds.source, "seed": ds.seed}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         ds = toy_dataset()
@@ -253,14 +273,26 @@ class TestSaveLoad:
         out = tmp_path / "toy"
         save_dataset(toy_dataset(), out)
         assert {(p.name) for p in out.iterdir()} \
-            == {"data.tsv", "info.tsv", "manifest.json"}
+            == {"data.npy", "features.txt", "info.tsv", "manifest.json"}
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["version"] == 1 and manifest["name"] == "toy"
+        assert manifest["version"] == 2 and manifest["name"] == "toy"
+        assert (out / "features.txt").read_bytes() == b"GATA3\nMYC\n"
+        assert (out / "info.tsv").read_bytes() \
+            == b"field\ts1\ts2\ndisease\taml\tcontrol\n"
+        values = np.load(out / "data.npy", allow_pickle=False)
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.tobytes() == toy_dataset().data.values.tobytes()
+        # version 1 directories are still read
+        v1 = write_v1(toy_dataset(), tmp_path / "v1")
+        assert load_dataset(v1) == toy_dataset()
 
     def test_missing_values_written_as_na(self, tmp_path):
         out = tmp_path / "toy"
         save_dataset(toy_dataset(), out)
-        assert "\tNA" in (out / "data.tsv").read_text()
+        assert np.isnan(np.load(out / "data.npy")[0, 1])
+        v1 = write_v1(toy_dataset(), tmp_path / "v1")
+        assert "\tNA" in (v1 / "data.tsv").read_text()
+        assert np.isnan(load_dataset(v1).data.values[0, 1])
 
     def test_missing_manifest(self, tmp_path):
         out = tmp_path / "toy"
@@ -286,11 +318,16 @@ class TestSaveLoad:
             load_dataset(out)
 
     def test_corrupt_data_cell(self, tmp_path):
-        out = tmp_path / "toy"
-        save_dataset(toy_dataset(), out)
+        out = write_v1(toy_dataset(), tmp_path / "toy")
         data = (out / "data.tsv").read_text().replace("-3.25", "wat")
         (out / "data.tsv").write_text(data)
         with pytest.raises(ParseError, match="wat"):
+            load_dataset(out)
+        out = tmp_path / "v2"
+        save_dataset(toy_dataset(), out)
+        (out / "data.npy").write_bytes(
+            (out / "data.npy").read_bytes().replace(b"<f8", b"<i8"))
+        with pytest.raises(ParseError, match="data.npy"):
             load_dataset(out)
 
     def test_tab_in_cell_rejected_at_save(self, tmp_path):
@@ -300,6 +337,18 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="tab"):
             save_dataset(ds, tmp_path / "bad")
 
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    @pytest.mark.parametrize("kind", ["feature", "sample", "field", "cell"])
+    def test_name_with_separator_rejected_at_save(self, tmp_path, kind, char):
+        bad = f"a{char}b"
+        feature, sample, field, cell = (
+            bad if kind == k else k for k in ("feature", "sample", "field", "cell"))
+        ds = Dataset(DataMatrix((feature,), (sample,), np.array([[1.0]])),
+                     InfoMatrix((field,), (sample,), ((cell,),)), name="bad")
+        with pytest.raises(ValueError, match="tab or line break"):
+            save_dataset(ds, tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
     def test_annotation_result_is_plain_container(self):
         res = AnnotationResult(
             DataMatrix(("G",), ("s1",), np.array([[1.0]])),
@@ -308,44 +357,102 @@ class TestSaveLoad:
 
 
 # ---------------------------------------------------------------------------
-# the data.tsv codec
+# the data.npy codec (format 2) and the data.tsv reader (format 1)
 # ---------------------------------------------------------------------------
 
-def dataset_of(values):
+def dataset_of(values, rows=None):
     values = np.asarray(values, dtype=float)
-    rows = tuple(f"g{i}" for i in range(values.shape[0]))
+    rows = rows or tuple(f"g{i}" for i in range(values.shape[0]))
     cols = tuple(f"s{j}" for j in range(values.shape[1]))
     return Dataset(DataMatrix(rows, cols, values), InfoMatrix((), cols, ()),
                    name="codec")
 
 
 def write_data(tmp_path, text):
-    """A dataset directory whose data.tsv is ``text``."""
+    """A format-1 dataset directory whose data.tsv is ``text``."""
     out = tmp_path / "ds"
-    save_dataset(dataset_of([[1.0]]), out)
+    out.mkdir()
     (out / "data.tsv").write_bytes(text.encode())
     header = text.splitlines()[0].split("\t")
     (out / "info.tsv").write_text("\t".join(["field", *header[1:]]) + "\n")
+    (out / "manifest.json").write_text(json.dumps({"name": "codec", "version": 1}))
     return out
+
+
+def dir_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+SPECIAL = np.array([[NA, -0.0, np.inf, -np.inf, 5e-324, 0.1,
+                     -1.7976931348623157e308, 1e-05, 1e16],
+                    [0.0, -NA, 2.2250738585072014e-308, -5e-324, -1.5,
+                     np.float64.fromhex("0x0.fffffffffffffp-1022"), 3.0,
+                     -np.inf, 1.0]])
 
 
 class TestDataCodec:
     def test_special_values_round_trip_bitwise(self, tmp_path):
-        vals = np.array([[NA, -0.0, np.inf, -np.inf, 5e-324, 0.1,
-                          -1.7976931348623157e308, 1e-05, 1e16]])
-        save_dataset(dataset_of(vals), tmp_path / "ds")
-        text = (tmp_path / "ds" / "data.tsv").read_text()
-        assert text.splitlines()[1] == (
-            "g0\tNA\t-0.0\tinf\t-inf\t5e-324\t0.1"
-            "\t-1.7976931348623157e+308\t1e-05\t1e+16")
+        ds = dataset_of(SPECIAL, rows=("G", "G"))
+        save_dataset(ds, tmp_path / "v2")
+        back = load_dataset(tmp_path / "v2")
+        assert back == ds and back.data.row_names == ("G", "G")
+        assert back.data.values.tobytes() == SPECIAL.tobytes()
+        out = write_data(tmp_path, "feature\t" + "\t".join(ds.data.col_names)
+                         + "\ng0\tNA\t-0.0\tinf\t-inf\t5e-324\t0.1"
+                         "\t-1.7976931348623157e+308\t1e-05\t1e+16\n")
+        back = load_dataset(out).data.values
+        assert back.tobytes() == SPECIAL[:1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n),
+        min_size=0, max_size=4)))
+    def test_any_bit_pattern_round_trips(self, tmp_path_factory, rows):
+        n_cols = len(rows[0]) if rows else 0
+        values = np.array(rows, dtype=np.uint64).reshape(len(rows), n_cols)
+        values = values.view(np.float64)
+        out = tmp_path_factory.mktemp("bits") / "ds"
+        save_dataset(dataset_of(values), out)
+        assert load_dataset(out).data.values.tobytes() == values.tobytes()
+
+    def test_names_with_other_line_separators_round_trip(self, tmp_path):
+        ds = Dataset(DataMatrix(("a\u2028b", "c\x85d", "e\x1cf", " g "),
+                                ("s\u00e9", "t\x0bu"), np.ones((4, 2))),
+                     InfoMatrix(("f\x0c",), ("s\u00e9", "t\x0bu"),
+                                (("\u2029", "x\x1d"),)), name="odd")
+        save_dataset(ds, tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds") == ds
+
+    def test_save_is_deterministic(self, tmp_path):
+        ds = dataset_of(SPECIAL)
+        fortran = dataset_of(np.asfortranarray(SPECIAL))
+        save_dataset(ds, tmp_path / "a")
+        save_dataset(fortran, tmp_path / "b")
+        save_dataset(ds, tmp_path / "a")
+        assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+    def test_big_endian_values_load_native(self, tmp_path):
+        save_dataset(dataset_of(SPECIAL), tmp_path / "ds")
+        np.save(tmp_path / "ds" / "data.npy", SPECIAL.astype(">f8"))
         back = load_dataset(tmp_path / "ds").data.values
-        assert back.tobytes() == vals.tobytes()
+        assert back.dtype == np.float64 and back.dtype.isnative
+        assert back.tobytes() == SPECIAL.tobytes()
+
+    def test_v1_directory_loads_as_saved(self, tmp_path):
+        ds = dataset_of(SPECIAL, rows=("G", "G"))
+        save_dataset(ds, tmp_path / "v2")
+        v1 = write_v1(ds, tmp_path / "v1")
+        assert load_dataset(v1) == load_dataset(tmp_path / "v2") == ds
+        # the text of format 1 keeps no sign of NaN
+        want = np.where(np.isnan(SPECIAL), NA, SPECIAL)
+        assert load_dataset(v1).data.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(0, 3), (1, 4), (5, 1), (3, 0)])
     def test_degenerate_shapes_round_trip(self, tmp_path, shape):
         ds = dataset_of(np.arange(float(shape[0] * shape[1])).reshape(shape))
         save_dataset(ds, tmp_path / "ds")
         assert load_dataset(tmp_path / "ds") == ds
+        assert load_dataset(write_v1(ds, tmp_path / "v1")) == ds
 
     def test_crlf_line_endings(self, tmp_path):
         out = write_data(tmp_path, "feature\ts1\ts2\r\nA\t1.5\tNA\r\n"
@@ -442,7 +549,105 @@ BAD_MANIFESTS = {
 def test_bad_dataset_directory_is_manifest_error(tmp_path, case):
     spoil, fragment = BAD_MANIFESTS[case]
     out = tmp_path / "toy"
-    save_dataset(toy_dataset(), out)
+    if case == "missing_data":
+        write_v1(toy_dataset(), out)
+    else:
+        save_dataset(toy_dataset(), out)
     spoil(out)
     with pytest.raises(ManifestError, match=fragment):
         load_dataset(out)
+
+
+# ---------------------------------------------------------------------------
+# malformed format-2 directories
+# ---------------------------------------------------------------------------
+
+def _save_npy(array, **kw):
+    return lambda root: np.save(root / "data.npy", array, **kw)
+
+
+def _truncate(n_bytes):
+    def cut(root):
+        body = (root / "data.npy").read_bytes()
+        (root / "data.npy").write_bytes(body[:n_bytes])
+    return cut
+
+
+def _append(name, text):
+    def add(root):
+        with open(root / name, "a", encoding="utf-8") as fh:
+            fh.write(text)
+    return add
+
+
+def _extra_sample(root):
+    (root / "info.tsv").write_text(
+        "field\ts1\ts2\ts3\ndisease\taml\tcontrol\taml\n")
+
+
+def _npz(root):
+    with open(root / "data.npy", "wb") as fh:
+        np.savez(fh, data=toy_dataset().data.values)
+
+
+BAD_V2 = {
+    "truncated_body": (_truncate(-8), ParseError, "data.npy"),
+    "truncated_header": (_truncate(20), ParseError, "data.npy"),
+    "empty_values": (_truncate(0), ParseError, "data.npy"),
+    "zip_archive": (_npz, ParseError, "data.npy"),
+    "object_dtype": (_save_npy(np.array([[1.5, None], [2.0, "x"]], dtype=object),
+                               allow_pickle=True), ParseError, "data.npy"),
+    "int_dtype": (_save_npy(np.array([[1, 2], [3, 4]])), ParseError, "dtype int64"),
+    "one_dim": (_save_npy(np.array([1.5, NA, 2.0, -3.25])), ParseError,
+                r"shape \(4,\)"),
+    "extra_feature": (_append("features.txt", "TP53\n"), ParseError,
+                      "3 features x 2 samples"),
+    "extra_sample": (_extra_sample, ParseError, "2 features x 3 samples"),
+    "missing_values": (_remove("data.npy"), ManifestError, "data.npy"),
+    "missing_features": (_remove("features.txt"), ManifestError, "features.txt"),
+    "version_3": (_manifest_edit(version=3), ManifestError, "version 3"),
+}
+
+
+def _spoiled(tmp_path, case):
+    out = tmp_path / "toy"
+    save_dataset(toy_dataset(), out)
+    BAD_V2[case][0](out)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(BAD_V2))
+def test_bad_v2_directory_raises_documented_error(tmp_path, case):
+    _, error, fragment = BAD_V2[case]
+    with pytest.raises(error, match=fragment):
+        load_dataset(_spoiled(tmp_path, case))
+
+
+# every command that loads a dataset, with ``{ds}`` for the spoiled one
+LOADING_COMMANDS = {
+    "score": ["score", "{ds}", "--kind", "vdw", "--out", "{out}"],
+    "merge": ["merge", "{ds}", "{ds}", "--out", "{out}"],
+    "select": ["select", "{ds}", "--field", "disease", "--keyword", "aml",
+               "--out", "{out}"],
+    "partition": ["partition", "{ds}", "--sizes", "1,1", "--out", "{out}"],
+    "median-cor": ["median-cor", "{ds}", "--out", "{out}"],
+    "pairwise": ["pairwise", "{ds}", "--out", "{out}"],
+    "test": ["test", "{ds}", "--test", "kw", "--field", "disease",
+             "--out", "{out}"],
+    "pca": ["pca", "{ds}", "--features", "GATA3,MYC", "--out-svg", "{out}"],
+    "factor-plot": ["factor-plot", "{ds}", "{ds}", "{ds}", "--out-svg", "{out}"],
+    "split-het": ["split-het", "{ds}", "--feature", "GATA3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+@pytest.mark.parametrize("case", sorted(BAD_V2))
+def test_bad_v2_directory_exit_2_in_every_command(tmp_path, capsys, case,
+                                                  command):
+    ds = _spoiled(tmp_path, case)
+    argv = [a.format(ds=ds, out=tmp_path / "out")
+            for a in LOADING_COMMANDS[command]]
+    assert main(argv) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()

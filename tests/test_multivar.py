@@ -1,10 +1,13 @@
 import math
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmerge.multivar import factor_plot_medians, pca, project_first_plane
-from rankmerge.svgplot import PALETTE, build_plot_spec, render_svg
+from rankmerge.svgplot import PALETTE, build_plot_spec, escape, render_svg
 
 SQRT5 = math.sqrt(5.0)
 
@@ -215,6 +218,12 @@ class TestSvgPlot:
         svg = render_svg(build_plot_spec(pts, "x<axis>", "y&z", "t"))
         assert "a&lt;b&amp;c" in svg
         assert "<b&c" not in svg
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("&<>;amp lgt\"'\u00e9\n")
+                   | st.characters()))
+    def test_escape_matches_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError, match="nothing"):

@@ -510,6 +510,15 @@ class TestApplyFdrAndSelection:
         assert adj[0].p_adjusted.p == pytest.approx(0.001 * 2 * 1.5, rel=1e-12)
         assert adj[2].p_adjusted is None
 
+    def test_adjusting_keeps_every_other_field(self):
+        before = self.results()
+        after = apply_fdr(before)
+        for b, a in zip(before, after):
+            assert (a.feature, a.statistic, a.p_raw, a.direction) \
+                == (b.feature, b.statistic, b.p_raw, b.direction)
+        assert after[1].p_adjusted.p == pytest.approx(0.5 * 1.5, rel=1e-12)
+        assert after[2] is before[2]
+
     def test_significant_strict_threshold(self):
         rs = [Result("x", 1.0, LogP.from_p(0.04), LogP.from_p(0.04), "over"),
               Result("y", 1.0, LogP.from_p(0.05), LogP.from_p(0.05), "over")]
