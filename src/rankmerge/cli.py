@@ -16,7 +16,7 @@ enrichment universe.
 
 Primary outputs are written to "<path>.partial" and renamed into place
 on success, so an interrupted or failed run never leaves a truncated
-file at the final path.
+file at the final path; a command that fails removes its partial file.
 """
 
 from __future__ import annotations
@@ -164,12 +164,16 @@ def _load_config(path: str | None) -> dict:
 
 @contextmanager
 def _partial_file(path: str | Path):
-    """Write to <path>.partial, rename into place only on success."""
+    """Write to <path>.partial; rename it into place on success only."""
     final = Path(path)
     partial = final.with_name(final.name + ".partial")
     final.parent.mkdir(parents=True, exist_ok=True)
-    with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     os.replace(partial, final)
 
 
@@ -538,7 +542,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized operations (default 0)")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker thread bound (default 1)")
+                        help="kept for compatibility, >= 1 (default 1)")
 
     parser = _Parser(prog="rankmerge", parents=[common],
                      description="Rank-based merging and analysis "

@@ -482,16 +482,23 @@ def load_dataset(path: str | Path) -> Dataset:
     """Load a directory written by :func:`save_dataset` (lossless).
 
     Format 1 directories (values as text in ``data.tsv``) still load.
+    Undecodable text and empty or repeated names are a ParseError.
     """
     root = Path(path)
     manifest = _read_manifest(root)
-    info_cols, fields, texts, _ = _read_tsv(root / INFO_FILE)
-    info = InfoMatrix(tuple(fields), tuple(info_cols),
-                      tuple(tuple(t.split("\t")) if info_cols else ()
-                            for t in texts))
-    data = _read_v1_data(root) if manifest["version"] == 1 \
-        else _read_v2_data(root, info.col_names)
-    return Dataset(data, info, name=str(manifest["name"]),
-                   score=manifest.get("score", "none"),
-                   source=str(manifest.get("source", "")),
-                   seed=manifest.get("seed"))
+    v1, name = manifest["version"] == 1, INFO_FILE
+    try:
+        info_cols, fields, texts, _ = _read_tsv(root / INFO_FILE)
+        info = InfoMatrix(tuple(fields), tuple(info_cols),
+                          tuple(tuple(t.split("\t")) if info_cols else ()
+                                for t in texts))
+        name = V1_DATA_FILE if v1 else FEATURES_FILE
+        data = _read_v1_data(root) if v1 else _read_v2_data(root, info.col_names)
+        return Dataset(data, info, name=str(manifest["name"]),
+                       score=manifest.get("score", "none"),
+                       source=str(manifest.get("source", "")),
+                       seed=manifest.get("seed"))
+    except ParseError:
+        raise
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise ParseError(f"{name}: {exc}") from None

@@ -14,9 +14,9 @@ distinct, comparable significance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -63,37 +63,36 @@ class TestResult:
 # plain correlations
 # ---------------------------------------------------------------------------
 
-def _complete_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("correlation expects two 1-d vectors of equal length")
-    keep = ~(np.isnan(x) | np.isnan(y))
-    return x[keep], y[keep]
+    return x, y
 
 
 def pearson(x, y) -> float:
     """Pearson correlation after pairwise-complete missing removal."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc, yc = _complete_pair(x, y)
+    x, y = _vector_pair(x, y)
+    keep = ~(np.isnan(x) | np.isnan(y))
+    xc, yc = x[keep], y[keep]
     if xc.size < 3:
         raise ValueError(f"need >= 3 complete pairs, have {xc.size}")
+    if xc.min() == xc.max() or yc.min() == yc.max():
+        raise ValueError("zero variance input")
     xm = xc - xc.mean()
     ym = yc - yc.mean()
     sx = math.sqrt(float(xm @ xm))
     sy = math.sqrt(float(ym @ ym))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("zero variance input")
     return float(xm @ ym) / (sx * sy)
 
 
 def spearman(x, y) -> float:
-    """Pearson correlation of midranks (pairwise-complete first)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc, yc = _complete_pair(x, y)
-    if xc.size < 3:
-        raise ValueError(f"need >= 3 complete pairs, have {xc.size}")
-    return pearson(*rank_rows(np.vstack([xc, yc]))[0])
+    """Pearson correlation of midranks, each vector ranked over its own
+    present values before incomplete pairs are dropped, as R's
+    ``cor(x, y, use="pairwise.complete.obs", method="spearman")`` and
+    :func:`pairwise_row_correlations` do."""
+    return pearson(*rank_rows(np.vstack(_vector_pair(x, y)))[0])
 
 
 def correlation_threshold(n: int, alpha: float = 0.05, sided: str = "one") -> float:
@@ -149,15 +148,13 @@ def pairwise_row_correlations(m: DataMatrix,
                               threads: int = 1) -> PairwiseResult:
     """Stream the correlation of every unordered row pair to ``sink``.
 
-    Pairs are emitted in a fixed order (by row position, i < j)
-    regardless of ``threads``: worker threads only compute the block
-    products, emission happens sequentially block by block, and each
-    pair's value is produced by the same arithmetic either way.  Memory
-    stays at O(chunk x rows).
-
-    Constant rows have no defined correlation; their pairs are skipped
-    and counted, as are pairs with fewer than 3 complete observations
-    when missing values are present.
+    One serial loop correlates ``chunk`` rows at a time with every later
+    row by block products and emits their pairs in row order (i < j),
+    so memory stays at O(chunk x rows).  No thread is started: numpy's
+    BLAS spreads each product over the cores; ``threads`` (>= 1) is kept
+    for compatibility.  Spearman ranks each row as :func:`spearman` does.
+    A pair with fewer than 3 complete observations, or a row constant
+    over them, is skipped and counted (see :func:`_block_correlations`).
     """
     if method not in _CORR_FUNCS:
         raise ValueError(f"unknown correlation method {method!r}")
@@ -165,83 +162,72 @@ def pairwise_row_correlations(m: DataMatrix,
         raise ValueError("need at least 3 columns")
     if chunk < 1 or threads < 1:
         raise ValueError("chunk and threads must be >= 1")
-    _dup = len(set(m.row_names)) != m.n_rows
-    if _dup:
+    if len(set(m.row_names)) != m.n_rows:
         raise ValueError("row names must be unique for pairwise correlations")
 
     vals = np.array(m.values, dtype=float)
-    n = m.n_rows
-    names = m.row_names
+    block = _block_correlations(rank_rows(vals)[0] if method == "spearman" else vals)
+    names, emitted = m.row_names, 0
+    for s in range(0, m.n_rows, chunk):
+        r, keep = block(s, min(s + chunk, m.n_rows))
+        for i in range(s, s + len(r)):
+            ok = keep[i - s, i + 1 - s:]
+            rs = r[i - s, i + 1 - s:][ok].tolist()
+            for b, v in zip(compress(names[i + 1:], ok.tolist()), rs):
+                sink(names[i], b, v)
+            emitted += len(rs)
+    return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
 
-    if method == "spearman":
-        vals = rank_rows(vals)[0]
 
-    finite_min = np.nanmin(vals, axis=1, initial=np.inf)
-    finite_max = np.nanmax(vals, axis=1, initial=-np.inf)
-    n_present = (~np.isnan(vals)).sum(axis=1)
-    constant = (finite_min == finite_max) | (n_present == 0)
+def _block_correlations(vals: np.ndarray):
+    """(s, e) -> r and the pairs to keep, rows s:e against rows s:.
 
-    emitted = 0
-    skipped = 0
+    Without missing values r = (g / |x|) / |y| for g = z z^T over the
+    row-centred values z.  With them, masked products give each pair its
+    sums over its complete observations (NaN enters z as 0), and a row
+    is constant over them exactly when cnt * sum(h^2) == (sum h)^2 for
+    the integers h = 2 x midrank.  Those sums are exact while they stay
+    below 2^53: up to 9,065 columns, beyond which this is a ValueError.
+    """
+    missing = np.isnan(vals)
+    present = (~missing).astype(float)
+    z = np.where(missing, 0.0, vals)
+    z = np.where(missing, 0.0, z - z.sum(axis=1, keepdims=True)
+                 / np.maximum(present.sum(axis=1, keepdims=True), 1.0))
+    if not missing.any():
+        constant = vals.min(axis=1) == vals.max(axis=1)
+        inv_norms = 1.0 / np.where(constant, np.inf, np.sqrt((z * z).sum(axis=1)))
 
-    if not np.isnan(vals).any():
-        centered = vals - vals.mean(axis=1, keepdims=True)
-        norms = np.sqrt((centered * centered).sum(axis=1))
-        inv_norms = np.zeros(n)
-        ok = ~constant
-        inv_norms[ok] = 1.0 / norms[ok]
+        def dense(s: int, e: int):
+            return ((z[s:e] @ z[s:].T) * inv_norms[s:e, None] * inv_norms[s:],
+                    ~(constant[s:e, None] | constant[s:]))
+        return dense
+    p = vals.shape[1]
+    if 2 * p * p * (p + 1) * (2 * p + 1) > 3 * 2 ** 53:
+        raise ValueError(f"{p} columns with missing values; the exact "
+                         f"constancy test holds up to 9,065")
+    h = np.nan_to_num(2.0 * rank_rows(vals)[0])
+    hh, zz = h * h, z * z
 
-        starts = list(range(0, n, chunk))
+    def block(s: int, e: int):
+        def row_sum(a):  # each block row's sum of a over its pairs' complete cells
+            return a[s:e] @ present[s:].T
 
-        def block(s: int) -> np.ndarray:
-            e = min(s + chunk, n)
-            return centered[s:e] @ centered[s:].T
+        def partner_sum(a):
+            return present[s:e] @ a[s:].T
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(block, s) for s in starts]
-            for s, fut in zip(starts, futures):
-                g = fut.result()
-                e = min(s + chunk, n)
-                for i in range(s, e):
-                    if constant[i]:
-                        skipped += n - (i + 1)
-                        continue
-                    gi = g[i - s]
-                    scale = inv_norms[i]
-                    for j in range(i + 1, n):
-                        if constant[j]:
-                            skipped += 1
-                            continue
-                        sink(names[i], names[j], float(gi[j - s]) * scale * inv_norms[j])
-                        emitted += 1
-        return PairwiseResult(emitted, skipped)
+        def spread(side, a, aa):  # cnt^2 x the variance over the complete cells
+            t = side(a)
+            return cnt * side(aa) - t * t
 
-    # missing-data path: pairwise-complete per pair
-    isnan = np.isnan(vals)
-    for i in range(n):
-        if constant[i]:
-            skipped += n - (i + 1)
-            continue
-        xi = vals[i]
-        for j in range(i + 1, n):
-            if constant[j]:
-                skipped += 1
-                continue
-            keep = ~(isnan[i] | isnan[j])
-            if keep.sum() < 3:
-                skipped += 1
-                continue
-            x = xi[keep]
-            y = vals[j, keep]
-            xm = x - x.mean()
-            ym = y - y.mean()
-            den = math.sqrt(float(xm @ xm)) * math.sqrt(float(ym @ ym))
-            if den == 0.0:
-                skipped += 1
-                continue
-            sink(names[i], names[j], float(xm @ ym) / den)
-            emitted += 1
-    return PairwiseResult(emitted, skipped)
+        cnt = row_sum(present)
+        keep = ((cnt >= 3) & (spread(row_sum, h, hh) != 0)
+                & (spread(partner_sum, h, hh) != 0))
+        var = spread(row_sum, z, zz) * spread(partner_sum, z, zz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (cnt * (z[s:e] @ z[s:].T) - row_sum(z) * partner_sum(z)) / np.sqrt(var)
+        return r, keep & (var > 0)
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,14 @@ class TestPairwiseCommand:
         assert (tmp_path / "t1.tsv").read_bytes() \
             == (tmp_path / "t4.tsv").read_bytes()
 
+    def test_failure_leaves_no_partial_file(self, tmp_path, capsys):
+        ds = make_ds(tmp_path, "d", ["a", "b"], ["s1", "s2"], [[1, 2], [3, 4]])
+        out = tmp_path / "pp.txt"
+        code, _, stderr = run(capsys, "pairwise", ds, "--out", out)
+        assert code == 1 and "at least 3 columns" in stderr
+        assert not out.exists()
+        assert not (tmp_path / "pp.txt.partial").exists()
+
 
 # ---------------------------------------------------------------------------
 # test command
@@ -626,14 +634,14 @@ class TestConfigAndPlumbing:
                          "split-het", "nowhere", "--feature", "X")
         assert code == 1
 
-    def test_partial_file_left_on_failure(self, tmp_path):
+    def test_partial_file_removed_on_failure(self, tmp_path):
         target = tmp_path / "out.tsv"
         with pytest.raises(RuntimeError):
             with _partial_file(target) as fh:
                 fh.write("half a line")
                 raise RuntimeError("simulated crash")
         assert not target.exists()
-        assert (tmp_path / "out.tsv.partial").exists()
+        assert not (tmp_path / "out.tsv.partial").exists()
 
     def test_partial_file_renamed_on_success(self, tmp_path):
         target = tmp_path / "out.tsv"
@@ -689,12 +697,14 @@ def test_bad_dataset_directory_exit_2(tmp_path, capsys, spoil):
 
 
 def test_cli_import_leaves_out_url_modules():
-    """saxutils would pull urllib.request and http.client into every run."""
+    """Every run imports the CLI, so it must not pull in modules no
+    command needs: saxutils would bring urllib.request and http.client,
+    and the pairwise engine starts no thread pool."""
     import rankmerge
     src = Path(rankmerge.__file__).resolve().parent.parent
     code = ("import sys, rankmerge.cli; "
-            "print(sorted(m for m in ('urllib.request', 'http.client') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('urllib.request', 'http.client', "
+            "'concurrent.futures') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr

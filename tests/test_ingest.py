@@ -585,6 +585,10 @@ def _extra_sample(root):
         "field\ts1\ts2\ts3\ndisease\taml\tcontrol\taml\n")
 
 
+def _write_bytes(name, body):
+    return lambda root: (root / name).write_bytes(body)
+
+
 def _npz(root):
     with open(root / "data.npy", "wb") as fh:
         np.savez(fh, data=toy_dataset().data.values)
@@ -606,6 +610,16 @@ BAD_V2 = {
     "missing_values": (_remove("data.npy"), ManifestError, "data.npy"),
     "missing_features": (_remove("features.txt"), ManifestError, "features.txt"),
     "version_3": (_manifest_edit(version=3), ManifestError, "version 3"),
+    "empty_feature_line": (_write_bytes("features.txt", b"\nMYC\n"), ParseError,
+                           "features.txt: row names must be non-empty"),
+    "features_not_utf8": (_write_bytes("features.txt", b"GATA3\nMY\xffC\n"),
+                          ParseError, "features.txt: .*utf-8"),
+    "info_not_utf8": (_write_bytes("info.tsv", b"field\ts1\ts2\n"
+                                   b"disease\taml\tcontr\xffol\n"),
+                      ParseError, "info.tsv: .*utf-8"),
+    "info_repeats_sample": (_write_bytes("info.tsv", b"field\ts1\ts1\n"
+                                         b"disease\taml\tcontrol\n"),
+                            ParseError, "info.tsv: duplicate column name"),
 }
 
 

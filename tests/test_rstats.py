@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -70,8 +71,10 @@ class TestPearson:
             pearson([1, 2, NA], [1, NA, 2])
 
     def test_constant_input(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            pearson([5, 5, 5], [1, 2, 3])
+        # the mean of three 0.1s is not 0.1 in float64
+        for constant in ([5, 5, 5], [0.1, 0.1, 0.1]):
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson(constant, [1, 2, 3])
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(1)
@@ -91,6 +94,13 @@ class TestSpearman:
     def test_hand_example(self):
         # values are already ranks here, so spearman == pearson
         assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
+
+    def test_ranks_before_dropping_incomplete_pairs(self):
+        # x ranks to 2 1 3 4 over its own values; the complete pairs hold
+        # x ranks 1 3 4 against y ranks 1 3 2, so r = 2 / sqrt(42/9 * 2)
+        # (ranking after the drop would give 0.5)
+        assert spearman([2, 1, 3, 4], [NA, 1, 3, 2]) \
+            == pytest.approx(3 / math.sqrt(21), abs=1e-12)
 
 
 class TestCorrelationThreshold:
@@ -240,6 +250,70 @@ class TestPairwise:
         m = dm(["a", "a"], ["c1", "c2", "c3"], [[1, 2, 3], [3, 2, 1]])
         with pytest.raises(ValueError, match="unique"):
             collect_pairs(m)
+
+    @pytest.mark.parametrize("method, scalar",
+                             [("pearson", pearson), ("spearman", spearman)])
+    def test_agrees_with_scalar_function_on_missing_and_ties(self, method,
+                                                             scalar):
+        rng = np.random.default_rng(13)
+        vals = np.round(rng.normal(scale=0.1, size=(30, 7)), 1)
+        vals[rng.random(vals.shape) < 0.3] = NA
+        m = dm([f"r{i}" for i in range(30)], [f"c{j}" for j in range(7)], vals)
+        got, res = collect_pairs(m, method=method, chunk=4)
+        want, reasons = [], set()
+        for i, j in combinations(range(30), 2):
+            try:
+                want.append((f"r{i}", f"r{j}", scalar(vals[i], vals[j])))
+            except ValueError as exc:
+                reasons.add(str(exc).split(",")[0])
+        # both kinds of skip occur: too few complete pairs, and a row
+        # constant over its complete pairs
+        assert reasons == {"need >= 3 complete pairs", "zero variance input"}
+        assert [p[:2] for p in got] == [p[:2] for p in want]
+        assert max(abs(g[2] - w[2]) for g, w in zip(got, want)) <= 1e-12
+        assert (res.emitted, res.skipped) == (len(want), pair_count(30) - len(want))
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_constant_over_complete_pairs_found_exactly(self, method):
+        # the means of three 0.1s and of three 0.3s are not 0.1 and 0.3
+        # in float64, so a rounded variance would not read zero
+        rows = [[0.1, 0.1, 0.1, 5], [0.3, 0.3, 0.3, -7], [2, 2, 2, 9],
+                [1, 2, 3, NA]]
+        m = dm(["a", "b", "c", "d"], ["c1", "c2", "c3", "c4"], rows)
+        got, res = collect_pairs(m, method=method)
+        assert [p[:2] for p in got] == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert res.skipped == 3
+        for row in rows[:3]:
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson(row, rows[3])
+
+    def test_too_many_columns_with_missing_values_rejected(self):
+        vals = np.arange(3 * 9066, dtype=float).reshape(3, 9066)
+        vals[0, 0] = NA
+        m = dm(["a", "b", "c"], [f"c{j}" for j in range(9066)], vals)
+        with pytest.raises(ValueError, match="9,065"):
+            collect_pairs(m)
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_memory_holds_one_block(self, missing):
+        # at 3,000 rows the upper triangle of r is 36 MB, and a block of
+        # 64 rows against every partner 1.5 MB.  Most rows are constant,
+        # so few pairs reach the sink, but every block product is formed.
+        rng = np.random.default_rng(14)
+        vals = np.ones((3000, 40))
+        vals[::10] = rng.normal(size=(300, 40))
+        if missing:
+            vals[::7, 5] = NA
+        m = dm([f"r{i}" for i in range(3000)], [f"c{j}" for j in range(40)],
+               vals)
+        tracemalloc.start()
+        try:
+            res = pairwise_row_correlations(m, lambda a, b, r: None, chunk=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.emitted == math.comb(300, 2)
+        assert peak < 12 * 64 * 3000 * 8
 
 
 # ---------------------------------------------------------------------------
