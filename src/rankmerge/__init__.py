@@ -40,6 +40,7 @@ from .numerics import (
 )
 from .rstats import (
     GeneSet,
+    ResultTable,
     TestResult,
     apply_fdr,
     benjamini_yekutieli,
@@ -75,7 +76,7 @@ __all__ = [
     "ecdf_score", "midrank", "score_dataset", "score_matrix", "vdw_score",
     "LogP", "chi_sq_upper_tail_ln", "inv_norm_cdf", "log_choose",
     "norm_upper_tail_ln",
-    "GeneSet", "TestResult", "apply_fdr", "benjamini_yekutieli",
+    "GeneSet", "ResultTable", "TestResult", "apply_fdr", "benjamini_yekutieli",
     "correlation_threshold", "enrich_genesets", "fisher_enrichment",
     "kruskal_wallis", "kw_per_feature", "median_correlation", "pair_count",
     "pairwise_row_correlations", "parse_gmt", "pearson", "rank_features",

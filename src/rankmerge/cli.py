@@ -43,6 +43,7 @@ from .errors import (
 from .ingest import (
     annotate,
     load_dataset,
+    open_text,
     parse_annotation,
     parse_series_matrix,
     save_dataset,
@@ -61,14 +62,13 @@ from .matrix import (
 )
 from .multivar import factor_plot_medians, pca, project_first_plane
 from .rstats import (
-    _fmt_linear,
-    _fmt_log10,
     apply_fdr,
     benjamini_yekutieli,
     correlation_threshold,
     enrich_genesets,
     kw_per_feature,
     median_correlation,
+    p_cells,
     pairwise_row_correlations,
     parse_gmt,
     rank_features,
@@ -147,7 +147,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read config: {exc}") from None
@@ -396,7 +396,7 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
     ranked = rank_features(adjusted, by=rank_by)
     with _partial_file(args.out) as fh:
         write_results_tsv(ranked, fh)
-    tested = sum(1 for r in ranked if r.p_raw is not None)
+    tested = int(ranked.tested.sum())
     sig = len(significant_features(ranked, alpha))
     print(f"features={len(ranked)} tested={tested} significant={sig} "
           f"threshold={alpha:g}")
@@ -420,7 +420,7 @@ def _feature_list(args: argparse.Namespace, opts: Options) -> list[str]:
     top = int(top)
     if top < 1:
         raise _UsageError("--top must be positive")
-    return [r.feature for r in ranked[:top]]
+    return list(ranked.features[:top])
 
 
 def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
@@ -491,28 +491,28 @@ def cmd_factor_plot(args: argparse.Namespace, opts: Options) -> int:
 def cmd_enrich(args: argparse.Namespace, opts: Options) -> int:
     results = read_results_tsv(args.results)
     threshold = opts.get_float("threshold", 0.05)
-    selected = {r.feature for r in significant_features(results, threshold)}
+    selected = set(significant_features(results, threshold).features)
 
     if args.universe is not None:
-        with open(args.universe, encoding="utf-8") as fh:
+        with open_text(args.universe) as fh:
             universe = {line.strip() for line in fh if line.strip()}
     else:
-        universe = {r.feature for r in results}
+        universe = set(results.features)
     if not universe:
         raise _EmptyUniverseError("the enrichment universe is empty")
 
     gene_sets = parse_gmt(args.gmt)
     rows = enrich_genesets(selected, universe, gene_sets)
     adjusted = benjamini_yekutieli([p for _, _, _, p in rows])
+    raw_cells = p_cells(np.array([p.ln_p for _, _, _, p in rows]))
+    adj_cells = p_cells(np.array([p.ln_p for p in adjusted]))
     with _partial_file(args.out) as fh:
         fh.write("set\tset_size\toverlap\tselected\tuniverse\t"
                  "p_raw\tlog10_p_raw\tp_adj\tlog10_p_adj\n")
-        for (gs, size, overlap, p), adj in zip(rows, adjusted):
+        for (gs, size, overlap, _), *cells in zip(rows, *raw_cells, *adj_cells):
             fh.write("\t".join([
                 gs.name, str(size), str(overlap), str(len(selected & universe)),
-                str(len(universe)),
-                _fmt_linear(p), _fmt_log10(p),
-                _fmt_linear(adj), _fmt_log10(adj),
+                str(len(universe)), *cells,
             ]) + "\n")
     print(f"sets={len(rows)} selected={len(selected & universe)} "
           f"universe={len(universe)}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,9 +79,21 @@ def _is_missing(cell: str) -> bool:
     return cell == "" or cell.lower() == "null"
 
 
+@contextmanager
+def open_text(path: str | Path):
+    """Open a UTF-8 text file for reading.  A byte sequence that does
+    not decode, wherever the reader meets it, is a ParseError naming
+    the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _lines(source):
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open_text(source) as fh:
             yield from fh
         return
     yield from source
@@ -454,7 +467,7 @@ def _read_manifest(root: Path) -> dict:
     manifest_path = root / MANIFEST_FILE
     if not manifest_path.exists():
         raise ManifestError(f"{root}: no {MANIFEST_FILE}")
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open_text(manifest_path) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:

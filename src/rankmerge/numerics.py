@@ -19,6 +19,12 @@ with accuracy documented per function:
   evaluated in the log domain so the result stays finite for arguments
   whose linear tail underflows.
 * :func:`log_choose` -- log binomial coefficient via ``lgamma``.
+
+The two tails also come in array forms, :func:`norm_upper_tail_ln_array`
+and :func:`chi_sq_upper_tail_ln_array`, which run the same series and
+continued-fraction steps on every element in lockstep and return the
+scalar functions' bits.  The scalar forms stay as the one-value API and
+as the bitwise reference.
 """
 
 from __future__ import annotations
@@ -96,6 +102,26 @@ class LogP:
 
 
 P_ONE = LogP(0.0)
+
+
+def checked_ln_p(ln_p) -> np.ndarray:
+    """An array of log probabilities under :class:`LogP`'s rules: NaN,
+    -inf and values above the rounding slack raise; values in (0, slack]
+    become 0.0."""
+    lp = np.asarray(ln_p, dtype=float)
+    bad = np.isnan(lp) | (lp == -math.inf)
+    if bad.any():
+        raise ValueError(f"log probability must be finite, got {lp[bad][0].item()!r}")
+    if (lp > _LN_ONE_SLACK).any():
+        raise ValueError(f"log probability must be <= 0, "
+                         f"got {lp[lp > _LN_ONE_SLACK][0].item()!r}")
+    return np.where(lp > 0.0, 0.0, lp)
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` applied to every element, with the scalar
+    path's rounding (numpy's own transcendentals may differ by an ulp)."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +252,41 @@ def norm_upper_tail_ln(z: float) -> LogP:
     return LogP(_mills_series_ln(z))
 
 
+def _mills_series_ln_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mills_series_ln` of every element, the series run in
+    lockstep: an element stops taking terms where the scalar loop breaks."""
+    inv_zz = 1.0 / (z * z)
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
+    for k in range(1, 64):
+        nxt = -term * (2 * k - 1) * inv_zz
+        live &= np.abs(nxt) < np.abs(term)
+        term[live] = nxt[live]
+        total[live] += term[live]
+        live &= ~(np.abs(term) < 1e-17 * np.abs(total))
+        if not live.any():
+            break
+    return -0.5 * z * z - _each(math.log, z) - _LN_SQRT_2PI + _each(math.log, total)
+
+
+def norm_upper_tail_ln_array(z) -> np.ndarray:
+    """ln P(Z >= z) of every element of a 1-d array, bit for bit what
+    :func:`norm_upper_tail_ln` returns for each."""
+    z = np.asarray(z, dtype=float)
+    if np.isnan(z).any():
+        raise ValueError("z must not be NaN")
+    neg = z < 0.0
+    w = np.where(neg, -z, z)
+    out = np.empty_like(w)
+    body = w <= _ASYMPTOTIC_Z
+    out[body] = _each(math.log, 0.5 * _each(math.erfc, w[body] / math.sqrt(2.0)))
+    out[~body] = _mills_series_ln_array(w[~body])
+    out = checked_ln_p(out)  # the scalar path's LogP of the tail at |z|
+    out[neg] = _each(math.log1p, -_each(math.exp, out[neg]))
+    return checked_ln_p(out)
+
+
 # ---------------------------------------------------------------------------
 # Chi-square upper tail, log domain
 # ---------------------------------------------------------------------------
@@ -286,13 +347,84 @@ def chi_sq_upper_tail_ln(x: float, df: int) -> LogP:
     x = float(x)
     if math.isnan(x) or x < 0.0:
         raise ValueError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return P_ONE
     a = 0.5 * df
     xg = 0.5 * x
+    if xg == 0.0:  # x = 0, or so small that x / 2 underflows
+        return P_ONE
     if x < df + 1.0:
         return LogP(math.log1p(-_reg_gamma_lower_series(a, xg)))
     return LogP(min(_reg_gamma_upper_cf_ln(a, xg), 0.0))
+
+
+def _reg_gamma_lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
+    """:func:`_reg_gamma_lower_series` of every element: the series runs
+    in lockstep and each element leaves it at its own stopping term."""
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    xs = x
+    term = np.full_like(x, 1.0 / a)
+    total = term.copy()
+    n = 0
+    while idx.size:
+        n += 1
+        term = term * (xs / (a + n))
+        total = total + term
+        done = np.abs(term) < np.abs(total) * 1e-17
+        out[idx[done]] = total[done]
+        idx, xs, term, total = (v[~done] for v in (idx, xs, term, total))
+        if n > 10000 and idx.size:
+            raise ArithmeticError("lower gamma series failed to converge")
+    return out * _each(math.exp, -x + a * _each(math.log, x) - math.lgamma(a))
+
+
+def _reg_gamma_upper_cf_ln_array(a: float, x: np.ndarray) -> np.ndarray:
+    """:func:`_reg_gamma_upper_cf_ln` of every element, the Lentz steps
+    run in lockstep until each element's own delta converges."""
+    tiny = 1e-300
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    b = x + 1.0 - a
+    c = np.full_like(x, 1.0 / tiny)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 10000):
+        if not idx.size:
+            break
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        out[idx[done]] = h[done]
+        idx, b, c, d, h = (v[~done] for v in (idx, b, c, d, h))
+    if idx.size:
+        raise ArithmeticError("upper gamma continued fraction failed to converge")
+    return -x + a * _each(math.log, x) - math.lgamma(a) + _each(math.log, out)
+
+
+def chi_sq_upper_tail_ln_array(x, df: int) -> np.ndarray:
+    """ln P(X >= x) of every element of a 1-d array, bit for bit what
+    :func:`chi_sq_upper_tail_ln` returns for each."""
+    if not isinstance(df, (int, np.integer)) or df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
+    x = np.asarray(x, dtype=float)
+    bad = np.isnan(x) | (x < 0.0)
+    if bad.any():
+        raise ValueError(f"x must be >= 0, got {x[bad][0].item()!r}")
+    a = 0.5 * df
+    xg = 0.5 * x
+    out = np.zeros_like(x)
+    lower = (xg != 0.0) & (x < df + 1.0)
+    upper = x >= df + 1.0
+    out[lower] = _each(math.log1p, -_reg_gamma_lower_series_array(a, xg[lower]))
+    cf = _reg_gamma_upper_cf_ln_array(a, xg[upper])
+    out[upper] = np.where(cf > 0.0, 0.0, cf)  # min(cf, 0.0), keeping a NaN
+    return checked_ln_p(out)
 
 
 # ---------------------------------------------------------------------------

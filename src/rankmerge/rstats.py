@@ -6,7 +6,8 @@ correlations, Kruskal-Wallis and one-sided Wilcoxon (Mann-Whitney)
 tests per feature, Benjamini-Yekutieli FDR control computed in the log
 domain, feature ranking, and hypergeometric gene-set enrichment.
 
-P-values are :class:`~rankmerge.numerics.LogP` throughout so that
+P-values are natural logarithms throughout (:class:`~rankmerge.numerics.LogP`
+for one value, a float array in a :class:`ResultTable`) so that
 features hundreds of orders of magnitude beyond float underflow keep
 distinct, comparable significance.
 """
@@ -14,27 +15,32 @@ distinct, comparable significance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
 from .errors import DegenerateDataError, ParseError
+from .ingest import open_text
 from .matrix import DataMatrix, Dataset, common_rows, exclude_samples, select_samples
 from .numerics import (
+    LINEAR_P_FLOOR,
     LogP,
     P_ONE,
-    chi_sq_upper_tail_ln,
+    checked_ln_p,
+    chi_sq_upper_tail_ln_array,
     inv_norm_cdf,
     log_choose,
-    norm_upper_tail_ln,
+    norm_upper_tail_ln_array,
 )
 from .transform import rank_rows
 
 DIRECTIONS = ("over", "under", "none")
+_OVER, _UNDER, _NONE = range(len(DIRECTIONS))
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,74 @@ class TestResult:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
+
+
+def _ln_column(values) -> np.ndarray:
+    """ln p of each LogP, NaN for None."""
+    return np.array([math.nan if v is None else v.ln_p for v in values], dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class ResultTable(Sequence):
+    """Per-feature test results as columns, one row per feature.
+
+    ``statistic`` is NaN and ``ln_p`` NaN for an untested feature;
+    ``ln_p_adj`` is NaN until :func:`apply_fdr` fills it for the tested
+    ones.  ``direction`` holds indexes into :data:`DIRECTIONS`.  As a
+    ``Sequence[TestResult]``, ``len``, indexing and iteration build row
+    views on demand; a slice is a table.
+    """
+
+    features: tuple[str, ...]
+    statistic: np.ndarray
+    ln_p: np.ndarray
+    ln_p_adj: np.ndarray
+    direction: np.ndarray
+
+    @classmethod
+    def of(cls, results: Sequence[TestResult]) -> "ResultTable":
+        """``results`` as a table; a table is returned as it is."""
+        if isinstance(results, ResultTable):
+            return results
+        return cls(tuple(r.feature for r in results),
+                   np.array([r.statistic for r in results], dtype=float),
+                   _ln_column(r.p_raw for r in results),
+                   _ln_column(r.p_adjusted for r in results),
+                   np.array([DIRECTIONS.index(r.direction) for r in results],
+                            dtype=np.int8))
+
+    @property
+    def tested(self) -> np.ndarray:
+        """True where the feature has a raw p."""
+        return ~np.isnan(self.ln_p)
+
+    def take(self, index) -> "ResultTable":
+        """The rows at an integer index array or a boolean mask, in order."""
+        rows = np.arange(len(self))[index]
+        return ResultTable(tuple(self.features[i] for i in rows.tolist()),
+                           self.statistic[rows], self.ln_p[rows],
+                           self.ln_p_adj[rows], self.direction[rows])
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        i = range(len(self))[i]
+        lp, la = self.ln_p[i].item(), self.ln_p_adj[i].item()
+        return TestResult(self.features[i], self.statistic[i].item(),
+                          None if math.isnan(lp) else LogP(lp),
+                          None if math.isnan(la) else LogP(la),
+                          DIRECTIONS[self.direction[i]])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _like(results: Sequence[TestResult], table: ResultTable):
+    """``table`` as the caller's input came: a table, or a list of rows."""
+    return table if isinstance(results, ResultTable) else list(table)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +322,19 @@ def _pooled_ranks(groups: Sequence[np.ndarray]):
 
 
 def _results(features: Sequence[str], statistic: np.ndarray, why: np.ndarray,
-             direction: str, p_value: Callable[[int, float], LogP]) -> list[TestResult]:
-    """The per-feature driver: a reason in ``why`` means no p-value."""
-    return [TestResult(f, math.nan, None, None, "none") if reason
-            else TestResult(f, stat, p_value(i, stat), None, direction)
-            for i, (f, stat, reason) in enumerate(zip(features, statistic.tolist(),
-                                                      why.tolist()))]
+             direction: str, ln_p: Callable[[np.ndarray], np.ndarray]) -> ResultTable:
+    """The per-feature table: a reason in ``why`` means no p-value;
+    ``ln_p(tested)`` gives ln p of the rows a boolean mask selects."""
+    tested = why == ""
+    column = np.full(len(why), math.nan)
+    column[tested] = checked_ln_p(ln_p(tested))
+    return ResultTable(tuple(features), np.where(tested, statistic, math.nan),
+                       column, np.full(len(why), math.nan),
+                       np.where(tested, DIRECTIONS.index(direction), _NONE)
+                       .astype(np.int8))
 
 
-def _single(results: list[TestResult], why: np.ndarray) -> TestResult:
+def _single(results: ResultTable, why: np.ndarray) -> TestResult:
     """The one result of a scalar test; an untestable one raises."""
     if why[0]:
         raise DegenerateDataError(str(why[0]))
@@ -285,7 +363,7 @@ def _kw_results(features: Sequence[str], groups: Sequence[np.ndarray]):
                     ["empty group", f"need more than {k} values overall",
                      "all values tied"], "")
     return _results(features, h, why, "none",
-                    lambda i, stat: chi_sq_upper_tail_ln(stat, k - 1)), why
+                    lambda tested: chi_sq_upper_tail_ln_array(h[tested], k - 1)), why
 
 
 def kruskal_wallis(values, labels, feature: str = "") -> TestResult:
@@ -308,7 +386,7 @@ def kruskal_wallis(values, labels, feature: str = "") -> TestResult:
     return _single(*_kw_results([feature], rows))
 
 
-def kw_per_feature(group_matrices: Sequence[DataMatrix]) -> list[TestResult]:
+def kw_per_feature(group_matrices: Sequence[DataMatrix]) -> ResultTable:
     """Kruskal-Wallis per common feature, one group per input matrix.
 
     Features where a group is entirely missing, pooled values are all
@@ -368,14 +446,18 @@ def _wilcoxon_results(features: Sequence[str], a: np.ndarray, b: np.ndarray,
                     ["empty group", "need at least 4 values overall",
                      "all values tied", "exact enumeration requires tie-free data"], "")
 
-    def p_value(i: int, _stat: float) -> LogP:
-        if use_exact[i]:
-            return LogP(_wilcoxon_exact_tail_ln(int(n_a[i]), int(n_b[i]),
-                                                round(float(sum_a[i])), alternative))
-        return norm_upper_tail_ln(z[i])
+    def ln_p(tested: np.ndarray) -> np.ndarray:
+        exact_rows = use_exact[tested]
+        out = np.empty(len(exact_rows))
+        out[~exact_rows] = norm_upper_tail_ln_array(z[tested & ~use_exact])
+        out[exact_rows] = [
+            _wilcoxon_exact_tail_ln(int(n_a[i]), int(n_b[i]),
+                                    round(float(sum_a[i])), alternative)
+            for i in np.flatnonzero(tested & use_exact).tolist()]
+        return out
 
     direction = "over" if alternative == "A_greater" else "under"
-    return _results(features, statistic, why, direction, p_value), why
+    return _results(features, statistic, why, direction, ln_p), why
 
 
 def wilcoxon_one_sided(a, b, alternative: str = "A_greater",
@@ -394,7 +476,7 @@ def wilcoxon_one_sided(a, b, alternative: str = "A_greater",
 
 def wilcoxon_per_feature(group_a: DataMatrix, group_b: DataMatrix,
                          alternative: str = "A_greater",
-                         exact: bool | None = None) -> list[TestResult]:
+                         exact: bool | None = None) -> ResultTable:
     """Per-feature one-sided Wilcoxon of two groups on their common
     features; degenerate features get no p-value."""
     features, (a, b) = _aligned_rows([group_a, group_b])
@@ -404,7 +486,7 @@ def wilcoxon_per_feature(group_a: DataMatrix, group_b: DataMatrix,
 def wilcoxon_group_vs_rest(ds: Dataset, field_name: str, keyword: str,
                            alternative: str = "A_greater",
                            mode: str = "substring",
-                           exact: bool | None = None) -> list[TestResult]:
+                           exact: bool | None = None) -> ResultTable:
     """Per-feature one-sided Wilcoxon of matching samples vs the rest.
 
     Group A is the keyword selection, group B its complement; either
@@ -423,16 +505,9 @@ def wilcoxon_group_vs_rest(ds: Dataset, field_name: str, keyword: str,
 # Benjamini-Yekutieli FDR
 # ---------------------------------------------------------------------------
 
-def benjamini_yekutieli(p_values: Sequence[LogP]) -> list[LogP]:
-    """Adjusted p-values under arbitrary dependence, computed in log space.
-
-    adjusted_(i) = min over j >= i of min(1, p_(j) * m * c(m) / j) with
-    c(m) the harmonic sum 1 + 1/2 + ... + 1/m.
-    """
-    m = len(p_values)
-    if m == 0:
-        raise ValueError("need at least one p-value")
-    ln_p = np.array([p.ln_p for p in p_values])
+def _by_adjusted_ln(ln_p: np.ndarray) -> np.ndarray:
+    """Benjamini-Yekutieli adjusted ln p of a non-empty ln p array."""
+    m = len(ln_p)
     c_m = float((1.0 / np.arange(1, m + 1)).sum())
     order = np.argsort(ln_p, kind="stable")
     ln_sorted = ln_p[order]
@@ -441,28 +516,40 @@ def benjamini_yekutieli(p_values: Sequence[LogP]) -> list[LogP]:
     ln_adj = np.minimum.accumulate(ln_adj[::-1])[::-1]
     out = np.empty(m)
     out[order] = ln_adj
-    return [LogP(v) for v in out]
-
-
-def apply_fdr(results: Sequence[TestResult]) -> list[TestResult]:
-    """Attach Benjamini-Yekutieli adjusted p-values.
-
-    Degenerate entries (no raw p) pass through unadjusted and do not
-    count toward m.
-    """
-    tested = [i for i, r in enumerate(results) if r.p_raw is not None]
-    if not tested:
-        return list(results)
-    adjusted = benjamini_yekutieli([results[i].p_raw for i in tested])
-    out = list(results)
-    for i, adj in zip(tested, adjusted):
-        r = results[i]
-        out[i] = TestResult(r.feature, r.statistic, r.p_raw, adj, r.direction)
     return out
 
 
+def benjamini_yekutieli(p_values: Sequence[LogP]) -> list[LogP]:
+    """Adjusted p-values under arbitrary dependence, computed in log space.
+
+    adjusted_(i) = min over j >= i of min(1, p_(j) * m * c(m) / j) with
+    c(m) the harmonic sum 1 + 1/2 + ... + 1/m.
+    """
+    if len(p_values) == 0:
+        raise ValueError("need at least one p-value")
+    return [LogP(v) for v in _by_adjusted_ln(_ln_column(p_values)).tolist()]
+
+
+def apply_fdr(results: Sequence[TestResult]) -> ResultTable | list[TestResult]:
+    """Attach Benjamini-Yekutieli adjusted p-values.
+
+    Degenerate entries (no raw p) pass through unadjusted and do not
+    count toward m.  A table gives a table; a list of rows gives a list
+    in which the untested rows are the ones passed in.
+    """
+    table = ResultTable.of(results)
+    tested = table.tested
+    ln_adj = table.ln_p_adj.copy()
+    if tested.any():
+        ln_adj[tested] = _by_adjusted_ln(table.ln_p[tested])
+    out = replace(table, ln_p_adj=ln_adj)
+    if isinstance(results, ResultTable):
+        return out
+    return [r if r.p_raw is None else row for r, row in zip(results, out)]
+
+
 def significant_features(results: Sequence[TestResult],
-                         threshold: float = 0.05) -> list[TestResult]:
+                         threshold: float = 0.05) -> ResultTable | list[TestResult]:
     """Entries with adjusted p strictly below ``threshold``.
 
     Results that carry a raw p but no adjusted p mean the FDR step was
@@ -470,15 +557,14 @@ def significant_features(results: Sequence[TestResult],
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
-    for r in results:
-        if r.p_raw is not None and r.p_adjusted is None:
-            raise ValueError("results carry no adjusted p-values; apply FDR first")
-    ln_t = math.log(threshold)
-    return [r for r in results if r.p_adjusted is not None
-            and r.p_adjusted.ln_p < ln_t]
+    table = ResultTable.of(results)
+    if (table.tested & np.isnan(table.ln_p_adj)).any():
+        raise ValueError("results carry no adjusted p-values; apply FDR first")
+    return _like(results, table.take(table.ln_p_adj < math.log(threshold)))
 
 
-def rank_features(results: Sequence[TestResult], by: str = "p") -> list[TestResult]:
+def rank_features(results: Sequence[TestResult],
+                  by: str = "p") -> ResultTable | list[TestResult]:
     """Order results by significance.
 
     ``by="p"``: ascending raw p (ties broken by feature name).
@@ -490,19 +576,15 @@ def rank_features(results: Sequence[TestResult], by: str = "p") -> list[TestResu
         raise ValueError(f"by must be 'p' or 'statistic', got {by!r}")
     if not results:
         raise ValueError("no results to rank")
-
-    def key(r: TestResult):
-        if r.p_raw is None or math.isnan(r.statistic):
-            return (1, 0.0, r.feature)
-        if by == "p":
-            return (0, r.p_raw.ln_p, r.feature)
-        if r.direction == "over":
-            return (0, -r.statistic, r.feature)
-        if r.direction == "under":
-            return (0, r.statistic, r.feature)
-        return (0, -abs(r.statistic), r.feature)
-
-    return sorted(results, key=key)
+    t = ResultTable.of(results)
+    last = ~t.tested | np.isnan(t.statistic)
+    key = t.ln_p if by == "p" else np.select(
+        [t.direction == _OVER, t.direction == _UNDER],
+        [-t.statistic, t.statistic], -np.abs(t.statistic))
+    by_name = np.empty(len(t), dtype=np.intp)
+    by_name[sorted(range(len(t)), key=t.features.__getitem__)] = np.arange(len(t))
+    order = np.lexsort((by_name, np.where(last, 0.0, key), last))
+    return _like(results, t.take(order))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +610,7 @@ def parse_gmt(source) -> list[GeneSet]:
     Duplicate set names and symbol-less lines are rejected.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open_text(source) as fh:
             return parse_gmt(fh)
     sets: list[GeneSet] = []
     seen: set[str] = set()
@@ -566,11 +648,17 @@ def fisher_enrichment(universe: int, selected: int, reference: int,
         raise ValueError("need 0 <= selected, reference <= universe")
     if k < 0 or k > min(a, b):
         raise ValueError(f"overlap {k} inconsistent with set sizes")
-    lo = max(0, a + b - n_)
-    if k <= lo:
+    return _hypergeom_upper_tail(n_, a, b, k, log_choose)
+
+
+def _hypergeom_upper_tail(n_: int, a: int, b: int, k: int,
+                          ln_choose: Callable[[int, int], float]) -> LogP:
+    """:func:`fisher_enrichment` of valid counts, with ``ln_choose`` for
+    :func:`log_choose` (the same function, or a memo of it)."""
+    if k <= max(0, a + b - n_):
         return P_ONE
-    ln_total = log_choose(n_, b)
-    terms = [log_choose(a, i) + log_choose(n_ - a, b - i) - ln_total
+    ln_total = ln_choose(n_, b)
+    terms = [ln_choose(a, i) + ln_choose(n_ - a, b - i) - ln_total
              for i in range(k, min(a, b) + 1)]
     peak = max(terms)
     ln_p = peak + math.log(sum(math.exp(t - peak) for t in terms))
@@ -583,16 +671,19 @@ def enrich_genesets(selected: set[str], universe: set[str],
 
     Symbols outside the universe are ignored on both sides.  Returns
     (gene_set, set_size_in_universe, overlap, p) per set, in input order.
+    Every set shares the selection and the universe, so each
+    ``log_choose(n, k)`` is computed once per call.
     """
     if not universe:
         raise ValueError("empty universe")
     sel = selected & universe
+    ln_choose = lru_cache(maxsize=None)(log_choose)
     out = []
     for gs in gene_sets:
         ref = gs.symbols & universe
         k = len(sel & ref)
-        p = fisher_enrichment(len(universe), len(sel), len(ref), k)
-        out.append((gs, len(ref), k, p))
+        out.append((gs, len(ref), k, _hypergeom_upper_tail(
+            len(universe), len(sel), len(ref), k, ln_choose)))
     return out
 
 
@@ -604,18 +695,29 @@ RESULT_COLUMNS = ("feature", "statistic", "p_raw", "log10_p_raw",
                   "p_adj", "log10_p_adj", "direction")
 
 _LN10 = math.log(10.0)
+_LN_P_FLOOR = math.log(LINEAR_P_FLOOR)
 
 
-def _fmt_linear(lp: LogP | None) -> str:
-    if lp is None:
-        return "NA"
-    if lp.is_underflow:
-        return "<1e-308"
-    return f"{lp.p:.6g}"
+def _cells(values, spec: str, marks: dict[str, np.ndarray]) -> list[str]:
+    """Each value formatted by ``spec``, then each mark written over the
+    cells its mask selects."""
+    cells = list(map(format, values, repeat(spec)))
+    for mark, mask in marks.items():
+        for i in np.flatnonzero(mask).tolist():
+            cells[i] = mark
+    return cells
 
 
-def _fmt_log10(lp: LogP | None) -> str:
-    return "NA" if lp is None else f"{lp.log10:.6f}"
+def p_cells(ln_p: np.ndarray) -> tuple[list[str], list[str]]:
+    """The linear and the log10 cells of a ln p column, "NA" for NaN.
+
+    Linear p clamps below 1e-308 to the marker "<1e-308"; log10 always
+    carries the exact value (a zero keeps its sign: "-0.000000").
+    """
+    na = np.isnan(ln_p)
+    return (_cells(map(math.exp, ln_p.tolist()), ".6g",
+                   {"<1e-308": ln_p < _LN_P_FLOOR, "NA": na}),
+            _cells((ln_p / _LN10).tolist(), ".6f", {"NA": na}))
 
 
 def write_results_tsv(results: Sequence[TestResult], dest: str | Path | TextIO) -> None:
@@ -628,41 +730,53 @@ def write_results_tsv(results: Sequence[TestResult], dest: str | Path | TextIO) 
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             write_results_tsv(results, fh)
         return
+    t = ResultTable.of(results)
+    columns = [t.features,
+               _cells(t.statistic.tolist(), ".10g", {"NA": np.isnan(t.statistic)}),
+               *p_cells(t.ln_p), *p_cells(t.ln_p_adj),
+               [DIRECTIONS[d] for d in t.direction.tolist()]]
     dest.write("\t".join(RESULT_COLUMNS) + "\n")
-    for r in results:
-        stat = "NA" if math.isnan(r.statistic) else f"{r.statistic:.10g}"
-        dest.write("\t".join([
-            r.feature, stat,
-            _fmt_linear(r.p_raw), _fmt_log10(r.p_raw),
-            _fmt_linear(r.p_adjusted), _fmt_log10(r.p_adjusted),
-            r.direction,
-        ]) + "\n")
+    dest.write("".join(line + "\n" for line in map("\t".join, zip(*columns))))
 
 
-def read_results_tsv(source) -> list[TestResult]:
+def _ln_p_cells(cells: list[str]) -> np.ndarray:
+    """ln p from log10 cells, NaN for "NA"; checked as LogP checks."""
+    na = np.array([c == "NA" for c in cells], dtype=bool)
+    ln_p = np.array([0.0 if c == "NA" else float(c) for c in cells]) * _LN10
+    ln_p[~na] = checked_ln_p(ln_p[~na])
+    ln_p[na] = math.nan
+    return ln_p
+
+
+def read_results_tsv(source) -> ResultTable:
     """Read back a table written by :func:`write_results_tsv`.
 
-    LogP values are reconstructed from the log10 columns, which do not
+    Log p values are reconstructed from the log10 columns, which do not
     clamp, so round-tripping preserves deep tails.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open_text(source) as fh:
             return read_results_tsv(fh)
     header = source.readline().rstrip("\r\n").split("\t")
     if tuple(header) != RESULT_COLUMNS:
         raise ParseError(f"unexpected result columns {header}", 1)
-    out: list[TestResult] = []
-    for lineno, line in enumerate(source, start=2):
-        line = line.rstrip("\r\n")
+    width = len(RESULT_COLUMNS)
+    rows = []
+    for lineno, line in enumerate(source.read().split("\n"), start=2):
+        line = line.rstrip("\r")
         if not line:
             continue
-        cells = line.split("\t")
-        if len(cells) != len(RESULT_COLUMNS):
-            raise ParseError(f"expected {len(RESULT_COLUMNS)} columns, "
-                             f"got {len(cells)}", lineno)
-        feature, stat_s, _, lg_raw, _, lg_adj, direction = cells
-        stat = float("nan") if stat_s == "NA" else float(stat_s)
-        p_raw = None if lg_raw == "NA" else LogP(float(lg_raw) * _LN10)
-        p_adj = None if lg_adj == "NA" else LogP(float(lg_adj) * _LN10)
-        out.append(TestResult(feature, stat, p_raw, p_adj, direction))
-    return out
+        n_cells = line.count("\t") + 1
+        if n_cells != width:
+            raise ParseError(f"expected {width} columns, got {n_cells}", lineno)
+        rows.append(line)
+    # every row has width cells, so the columns are strided slices
+    cells = "\t".join(rows).split("\t") if rows else []
+    feature, stat, _, lg_raw, _, lg_adj, direction = (cells[j::width] for j in range(width))
+    try:
+        codes = np.array([DIRECTIONS.index(d) for d in direction], dtype=np.int8)
+    except ValueError:
+        raise ValueError(f"direction must be one of {DIRECTIONS}") from None
+    return ResultTable(tuple(feature),
+                       np.array([math.nan if c == "NA" else float(c) for c in stat]),
+                       _ln_p_cells(lg_raw), _ln_p_cells(lg_adj), codes)

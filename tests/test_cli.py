@@ -709,3 +709,55 @@ def test_cli_import_leaves_out_url_modules():
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _spoiled(path, target, data: bytes):
+    """Write ``data`` with byte 0xff in the middle to ``target``."""
+    cut = len(data) // 2
+    target.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    return target
+
+
+def _non_utf8_case(tmp_path, which):
+    """The argv of a command reading one file that holds byte 0xff, and
+    that file."""
+    series = (FIXTURES / "series_small.txt").read_bytes()
+    annotation = (FIXTURES / "annotation_small.tsv").read_bytes()
+    results = tmp_path / "r.tsv"
+    fabricated_results(results)
+    gmt = (FIXTURES / "sets_small.gmt").read_bytes()
+    out = tmp_path / "out"
+    if which == "series":
+        bad = _spoiled(tmp_path, tmp_path / "bad_series.txt", series)
+        return ["ingest", bad, FIXTURES / "annotation_small.tsv", "--out", out], bad
+    if which == "annotation":
+        bad = _spoiled(tmp_path, tmp_path / "bad_annotation.tsv", annotation)
+        return ["ingest", FIXTURES / "series_small.txt", bad, "--out", out], bad
+    if which == "results":
+        bad = _spoiled(tmp_path, tmp_path / "bad_results.tsv", results.read_bytes())
+        return ["enrich", bad, FIXTURES / "sets_small.gmt", "--out", out], bad
+    if which == "gmt":
+        bad = _spoiled(tmp_path, tmp_path / "bad_sets.gmt", gmt)
+        return ["enrich", results, bad, "--out", out], bad
+    if which == "universe":
+        bad = _spoiled(tmp_path, tmp_path / "bad_universe.txt", b"G0\nG1\nG2\nG3\n")
+        return ["enrich", results, FIXTURES / "sets_small.gmt", "--universe", bad,
+                "--out", out], bad
+    if which == "config":
+        bad = _spoiled(tmp_path, tmp_path / "bad_config.json", b'{"seed": 1}')
+        return ["--config", bad, "split-het", tmp_path / "nowhere",
+                "--feature", "X"], bad
+    ds = Path(make_ds(tmp_path, "d", ["A", "B"], ["s1", "s2"], [[1, 2], [3, 4]]))
+    bad = _spoiled(tmp_path, ds / "manifest.json", (ds / "manifest.json").read_bytes())
+    return ["score", ds, "--kind", "vdw", "--out", out], bad
+
+
+@pytest.mark.parametrize("which", ["series", "annotation", "results", "gmt",
+                                   "universe", "config", "manifest"])
+def test_non_utf8_input_exit_2_naming_the_file(tmp_path, capsys, which):
+    argv, bad = _non_utf8_case(tmp_path, which)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert bad.name in stderr and "UTF-8" in stderr
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
