@@ -14,7 +14,6 @@ from .matrix import (
     InfoMatrix,
     common_rows,
     exclude_samples,
-    heterogeneity_split,
     median_column,
     merge_datasets,
     random_partition,
@@ -47,6 +46,7 @@ from .rstats import (
     correlation_threshold,
     enrich_genesets,
     fisher_enrichment,
+    heterogeneity_split,
     kruskal_wallis,
     kw_per_feature,
     median_correlation,
@@ -55,6 +55,7 @@ from .rstats import (
     parse_gmt,
     pearson,
     rank_features,
+    sample_groups,
     significant_features,
     spearman,
     wilcoxon_group_vs_rest,
@@ -80,7 +81,7 @@ __all__ = [
     "correlation_threshold", "enrich_genesets", "fisher_enrichment",
     "kruskal_wallis", "kw_per_feature", "median_correlation", "pair_count",
     "pairwise_row_correlations", "parse_gmt", "pearson", "rank_features",
-    "significant_features", "spearman", "wilcoxon_group_vs_rest",
+    "sample_groups", "significant_features", "spearman", "wilcoxon_group_vs_rest",
     "wilcoxon_one_sided", "wilcoxon_per_feature",
     "factor_plot_medians", "pca", "project_first_plane",
     "__version__",

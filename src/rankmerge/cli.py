@@ -49,11 +49,9 @@ from .ingest import (
     save_dataset,
 )
 from .matrix import (
-    DataMatrix,
     Dataset,
     common_rows,
     exclude_samples,
-    heterogeneity_split,
     median_column,
     merge_datasets,
     random_partition,
@@ -66,12 +64,14 @@ from .rstats import (
     benjamini_yekutieli,
     correlation_threshold,
     enrich_genesets,
+    heterogeneity_split,
     kw_per_feature,
     median_correlation,
     p_cells,
     pairwise_row_correlations,
     parse_gmt,
     rank_features,
+    sample_groups,
     significant_features,
     wilcoxon_group_vs_rest,
     wilcoxon_per_feature,
@@ -199,17 +199,6 @@ def _check_features(symbols, available) -> None:
             raise _UnknownFeatureError(s, available)
 
 
-def _aligned_matrices(matrices) -> tuple[list[str], list[DataMatrix]]:
-    """The matrices restricted to common features, in one row order."""
-    features = common_rows(matrices)
-    aligned = []
-    for m in matrices:
-        idx = m.row_index()
-        aligned.append(DataMatrix(tuple(features), m.col_names,
-                                  m.values[[idx[f] for f in features]]))
-    return features, aligned
-
-
 def _choice(value, allowed: dict, flag: str):
     if value not in allowed:
         raise _UsageError(f"{flag} must be one of "
@@ -263,10 +252,7 @@ def cmd_select(args: argparse.Namespace, opts: Options) -> int:
     ds = load_dataset(args.dataset)
     mode = opts.get("mode", "substring")
     op = exclude_samples if args.invert else select_samples
-    try:
-        out = op(ds, args.field, args.keyword, mode)
-    except KeyError as exc:
-        raise _UsageError(str(exc).strip("'\"")) from None
+    out = op(ds, args.field, args.keyword, mode)
     name = opts.get("name")
     if name:
         out = Dataset(out.data, out.info, name=name, score=out.score,
@@ -296,8 +282,8 @@ def cmd_partition(args: argparse.Namespace, opts: Options) -> int:
 def cmd_median_cor(args: argparse.Namespace, opts: Options) -> int:
     dsets = [load_dataset(p) for p in args.datasets]
     method = opts.get("method", "pearson")
-    features, aligned = _aligned_matrices([d.data for d in dsets])
-    medians = [median_column(m) for m in aligned]
+    features = common_rows([d.data for d in dsets])
+    medians = [median_column(d.data.take_rows(features)) for d in dsets]
     k = len(dsets)
     corr = np.eye(k)
     for i in range(k):
@@ -336,16 +322,6 @@ def cmd_pairwise(args: argparse.Namespace, opts: Options) -> int:
     return 0
 
 
-def _kw_groups_by_field(ds: Dataset, field_name: str) -> list[DataMatrix]:
-    groups: dict[str, list[int]] = {}
-    for i, v in enumerate(ds.info.field(field_name)):
-        groups.setdefault(v, []).append(i)
-    if len(groups) < 2:
-        raise DegenerateDataError(
-            f"field {field_name!r} has a single value; nothing to compare")
-    return [ds.data.take_cols(idx) for idx in groups.values()]
-
-
 def cmd_test(args: argparse.Namespace, opts: Options) -> int:
     alternative = _choice(opts.get("alternative", "greater"),
                           {"greater": "A_greater", "less": "A_less"},
@@ -367,13 +343,8 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
             if args.test == "wilcoxon":
                 results = wilcoxon_group_vs_rest(ds, args.field, args.keyword,
                                                  alternative, mode, exact)
-            elif args.keyword is not None:
-                groups = [op(ds, args.field, args.keyword, mode).data
-                          for op in (select_samples, exclude_samples)]
             else:
-                groups = _kw_groups_by_field(ds, args.field)
-        except KeyError as exc:
-            raise _UsageError(str(exc).strip("'\"")) from None
+                groups = sample_groups(ds, args.field, args.keyword, mode)
         except ValueError as exc:
             raise DegenerateDataError(str(exc)) from None
         if args.test == "kw":
@@ -428,10 +399,7 @@ def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
     if len(dsets) == 1:
         ds = dsets[0]
         if args.label_field is not None:
-            try:
-                labels = list(ds.info.field(args.label_field))
-            except KeyError as exc:
-                raise _UsageError(str(exc).strip("'\"")) from None
+            labels = list(ds.info.field(args.label_field))
         else:
             labels = [ds.name] * ds.n_samples
     else:
@@ -442,8 +410,7 @@ def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
 
     wanted = _feature_list(args, opts)
     _check_features(wanted, ds.data.row_names)
-    idx = ds.data.row_index()
-    x = ds.data.values[[idx[f] for f in wanted]].T
+    x = ds.data.take_rows(wanted).values.T
     result = pca(x, scale=bool(opts.get("scale", False)))
     points = project_first_plane(result, labels, names=ds.data.col_names)
 
@@ -469,8 +436,8 @@ def cmd_factor_plot(args: argparse.Namespace, opts: Options) -> int:
     if len(args.datasets) < 3:
         raise _UsageError("factor-plot needs at least three datasets")
     dsets = [load_dataset(p) for p in args.datasets]
-    features, aligned = _aligned_matrices([d.data for d in dsets])
-    medians = np.column_stack([median_column(m) for m in aligned])
+    features = common_rows([d.data for d in dsets])
+    medians = np.column_stack([median_column(d.data.take_rows(features)) for d in dsets])
     names = [d.name for d in dsets]
     coords = factor_plot_medians(medians, names)
 
@@ -694,7 +661,9 @@ def main(argv=None) -> int:
         opts = Options(args, config, args.command)
         return args.func(args, opts)
     except tuple(t for t, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return next(code for t, code in _EXIT_CODES if isinstance(exc, t))
 
 

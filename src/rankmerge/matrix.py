@@ -86,6 +86,13 @@ class DataMatrix:
         except KeyError:
             raise KeyError(f"no row named {name!r}") from None
 
+    def take_rows(self, names: Sequence[str]) -> "DataMatrix":
+        """The rows called ``names``, in that order; first occurrence
+        wins on duplicates, as in :meth:`row_index`."""
+        idx = self.row_index()
+        return DataMatrix(tuple(names), self.col_names,
+                          self.values[[idx[n] for n in names]])
+
     def take_cols(self, indices: Sequence[int]) -> "DataMatrix":
         return DataMatrix(self.row_names,
                           tuple(self.col_names[i] for i in indices),
@@ -312,8 +319,7 @@ def merge_data(matrices: Sequence[DataMatrix],
     blocks: list[np.ndarray] = []
     for mi, m in enumerate(matrices):
         _check_unique(m.row_names, f"row name in input {mi}")
-        idx = m.row_index()
-        blocks.append(m.values[[idx[r] for r in rows]])
+        blocks.append(m.take_rows(rows).values)
         for c in m.col_names:
             full = f"{prefixes[mi]}:{c}" if prefixes is not None else c
             if full in seen:
@@ -449,7 +455,7 @@ def random_partition(ds: Dataset, sizes: Sequence[int], seed: int) -> list[Datas
 
 
 # ---------------------------------------------------------------------------
-# medians and heterogeneity
+# medians
 # ---------------------------------------------------------------------------
 
 def median_column(m: DataMatrix) -> np.ndarray:
@@ -459,25 +465,3 @@ def median_column(m: DataMatrix) -> np.ndarray:
         bad = m.row_names[int(np.argmax(all_missing))]
         raise ValueError(f"row {bad!r} has no non-missing values")
     return np.nanmedian(m.values, axis=1)
-
-
-def heterogeneity_split(ds: Dataset, feature: str) -> tuple[float, tuple[int, int]]:
-    """Split samples by the sign of one (scored) feature and compare halves.
-
-    Samples with a non-negative value on ``feature`` form one group,
-    negative values the other (missing values sit in neither).  Returns
-    the correlation between the two groups' median columns and the
-    group sizes ``(n_nonnegative, n_negative)``.  A split that leaves
-    either side empty is rejected.
-    """
-    if feature not in ds.data.row_names:
-        raise KeyError(f"no feature named {feature!r}")
-    row = ds.data.row(feature)
-    pos = [i for i, v in enumerate(row) if not np.isnan(v) and v >= 0.0]
-    neg = [i for i, v in enumerate(row) if not np.isnan(v) and v < 0.0]
-    if not pos or not neg:
-        raise ValueError(f"feature {feature!r} does not separate samples")
-    med_pos = median_column(ds.data.take_cols(pos))
-    med_neg = median_column(ds.data.take_cols(neg))
-    from .rstats import pearson  # local import; rstats depends on this module
-    return pearson(med_pos, med_neg), (len(pos), len(neg))

@@ -156,9 +156,8 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
       2.04426310338993978564e-15)
 
 
-def _poly(coefs, r):
-    acc = np.full_like(r, coefs[-1], dtype=float) if isinstance(r, np.ndarray) \
-        else coefs[-1]
+def _poly(coefs, r: np.ndarray) -> np.ndarray:
+    acc = np.full_like(r, coefs[-1], dtype=float)
     for c in coefs[-2::-1]:
         acc = acc * r + c
     return acc

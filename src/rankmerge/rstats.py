@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParseError
 from .ingest import open_text
-from .matrix import DataMatrix, Dataset, common_rows, exclude_samples, select_samples
+from .matrix import (DataMatrix, Dataset, common_rows, exclude_samples,
+                     median_column, select_samples)
 from .numerics import (
     LINEAR_P_FLOOR,
     LogP,
@@ -198,6 +199,25 @@ def median_correlation(x, y, method: str = "pearson") -> float:
     return f(x, y)
 
 
+def heterogeneity_split(ds: Dataset, feature: str) -> tuple[float, tuple[int, int]]:
+    """Split samples by the sign of one (scored) feature and compare halves.
+
+    Samples with a non-negative value on ``feature`` form one group,
+    negative values the other (missing values sit in neither).  Returns
+    the correlation between the two groups' median columns and the
+    group sizes ``(n_nonnegative, n_negative)``.  A split that leaves
+    either side empty is rejected.
+    """
+    if feature not in ds.data.row_names:
+        raise KeyError(f"no feature named {feature!r}")
+    row = ds.data.row(feature)
+    pos, neg = np.flatnonzero(row >= 0.0).tolist(), np.flatnonzero(row < 0.0).tolist()
+    if not pos or not neg:
+        raise ValueError(f"feature {feature!r} does not separate samples")
+    medians = [median_column(ds.data.take_cols(idx)) for idx in (pos, neg)]
+    return pearson(*medians), (len(pos), len(neg))
+
+
 # ---------------------------------------------------------------------------
 # streaming all-pairs row correlations
 # ---------------------------------------------------------------------------
@@ -341,14 +361,6 @@ def _single(results: ResultTable, why: np.ndarray) -> TestResult:
     return results[0]
 
 
-def _aligned_rows(matrices: Sequence[DataMatrix]) -> tuple[list[str], list[np.ndarray]]:
-    """Sorted common features and each matrix's values in that order."""
-    features = common_rows(matrices)
-    indexes = [m.row_index() for m in matrices]
-    return features, [m.values[[idx[f] for f in features]]
-                      for m, idx in zip(matrices, indexes)]
-
-
 def _kw_results(features: Sequence[str], groups: Sequence[np.ndarray]):
     """Tie-corrected Kruskal-Wallis H per row of k aligned group
     matrices, in the same scalar operation order for every row."""
@@ -395,7 +407,8 @@ def kw_per_feature(group_matrices: Sequence[DataMatrix]) -> ResultTable:
     """
     if len(group_matrices) < 2:
         raise ValueError("need at least two group matrices")
-    return _kw_results(*_aligned_rows(group_matrices))[0]
+    features = common_rows(group_matrices)
+    return _kw_results(features, [m.take_rows(features).values for m in group_matrices])[0]
 
 
 ALTERNATIVES = ("A_greater", "A_less")
@@ -479,8 +492,27 @@ def wilcoxon_per_feature(group_a: DataMatrix, group_b: DataMatrix,
                          exact: bool | None = None) -> ResultTable:
     """Per-feature one-sided Wilcoxon of two groups on their common
     features; degenerate features get no p-value."""
-    features, (a, b) = _aligned_rows([group_a, group_b])
+    features = common_rows([group_a, group_b])
+    a, b = (m.take_rows(features).values for m in (group_a, group_b))
     return _wilcoxon_results(features, a, b, alternative, exact)[0]
+
+
+def sample_groups(ds: Dataset, field_name: str, keyword: str | None = None,
+                  mode: str = "substring") -> list[DataMatrix]:
+    """The data of ``ds`` in sample groups by a metadata field: with
+    ``keyword``, ``[matching, rest]`` as :func:`select_samples` and
+    :func:`exclude_samples` build them; without, one group per distinct
+    value in first-seen order (one value is a DegenerateDataError).  An
+    unknown field raises ``KeyError``."""
+    if keyword is not None:
+        return [op(ds, field_name, keyword, mode).data
+                for op in (select_samples, exclude_samples)]
+    values = ds.info.field(field_name)
+    if len(set(values)) < 2:
+        raise DegenerateDataError(
+            f"field {field_name!r} has a single value; nothing to compare")
+    return [ds.data.take_cols([i for i, x in enumerate(values) if x == v])
+            for v in dict.fromkeys(values)]
 
 
 def wilcoxon_group_vs_rest(ds: Dataset, field_name: str, keyword: str,
@@ -493,12 +525,9 @@ def wilcoxon_group_vs_rest(ds: Dataset, field_name: str, keyword: str,
     side empty is an error.  Per-feature degeneracies (all tied, or a
     side entirely missing) become results with no p-value.
     """
-    sel = select_samples(ds, field_name, keyword, mode)
-    rest = exclude_samples(ds, field_name, keyword, mode)
-    if rest.n_samples == ds.n_samples:
-        raise ValueError(f"keyword {keyword!r} selects no sample")
-    return _wilcoxon_results(ds.data.row_names, sel.data.values,
-                             rest.data.values, alternative, exact)[0]
+    a, b = sample_groups(ds, field_name, keyword, mode)
+    return _wilcoxon_results(ds.data.row_names, a.values, b.values,
+                             alternative, exact)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +777,20 @@ def _ln_p_cells(cells: list[str]) -> np.ndarray:
     return ln_p
 
 
+def _table(cells: list[str]) -> ResultTable:
+    """The table of result rows' cells, concatenated; as every row has
+    one cell per column, the columns are strided slices."""
+    width = len(RESULT_COLUMNS)
+    feature, stat, _, lg_raw, _, lg_adj, direction = (cells[j::width] for j in range(width))
+    try:
+        codes = np.array([DIRECTIONS.index(d) for d in direction], dtype=np.int8)
+    except ValueError:
+        raise ValueError(f"direction must be one of {DIRECTIONS}") from None
+    return ResultTable(tuple(feature),
+                       np.array([math.nan if c == "NA" else float(c) for c in stat]),
+                       _ln_p_cells(lg_raw), _ln_p_cells(lg_adj), codes)
+
+
 def read_results_tsv(source) -> ResultTable:
     """Read back a table written by :func:`write_results_tsv`.
 
@@ -761,7 +804,7 @@ def read_results_tsv(source) -> ResultTable:
     if tuple(header) != RESULT_COLUMNS:
         raise ParseError(f"unexpected result columns {header}", 1)
     width = len(RESULT_COLUMNS)
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(source.read().split("\n"), start=2):
         line = line.rstrip("\r")
         if not line:
@@ -770,13 +813,13 @@ def read_results_tsv(source) -> ResultTable:
         if n_cells != width:
             raise ParseError(f"expected {width} columns, got {n_cells}", lineno)
         rows.append(line)
-    # every row has width cells, so the columns are strided slices
-    cells = "\t".join(rows).split("\t") if rows else []
-    feature, stat, _, lg_raw, _, lg_adj, direction = (cells[j::width] for j in range(width))
+        linenos.append(lineno)
     try:
-        codes = np.array([DIRECTIONS.index(d) for d in direction], dtype=np.int8)
-    except ValueError:
-        raise ValueError(f"direction must be one of {DIRECTIONS}") from None
-    return ResultTable(tuple(feature),
-                       np.array([math.nan if c == "NA" else float(c) for c in stat]),
-                       _ln_p_cells(lg_raw), _ln_p_cells(lg_adj), codes)
+        return _table("\t".join(rows).split("\t") if rows else [])
+    except ValueError:  # find the first bad row
+        for line, lineno in zip(rows, linenos):
+            try:
+                _table(line.split("\t"))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+        raise

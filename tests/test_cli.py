@@ -761,3 +761,48 @@ def test_non_utf8_input_exit_2_naming_the_file(tmp_path, capsys, which):
     assert bad.name in stderr and "UTF-8" in stderr
     assert stderr.startswith("error: ") and "Traceback" not in stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--field", "nope", "--keyword", "a", "--out", "OUT"],
+    ["test", "--test", "kw", "--field", "nope", "--out", "OUT"],
+    ["test", "--test", "kw", "--field", "nope", "--keyword", "a", "--out", "OUT"],
+    ["test", "--test", "wilcoxon", "--field", "nope", "--keyword", "a",
+     "--out", "OUT"],
+    ["pca", "--label-field", "nope", "--features", "X", "--out-svg", "OUT"],
+])
+def test_unknown_field_named_with_both_quotes(tmp_path, capsys, argv):
+    ds = line_dataset(tmp_path)
+    argv = [argv[0], ds, *(tmp_path / "out" if a == "OUT" else a for a in argv[1:])]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 1
+    assert "field" in stderr and "'nope'" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("column, cell", [
+    (1, "abc"),       # statistic not a number
+    (3, "x"),         # log10 p not a number
+    (5, "0.5"),       # positive log10 p
+    (6, "sideways"),  # unknown direction
+])
+@pytest.mark.parametrize("command", ["enrich", "pca"])
+def test_malformed_results_table_exit_2(tmp_path, capsys, command, column, cell):
+    results = tmp_path / "r.tsv"
+    fabricated_results(results)
+    lines = results.read_text().split("\n")
+    cells = lines[2].split("\t")
+    cells[column] = cell
+    lines[2] = "\t".join(cells)
+    results.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    if command == "enrich":
+        argv = ["enrich", results, FIXTURES / "sets_small.gmt", "--out", out]
+    else:
+        argv = ["pca", line_dataset(tmp_path), "--top", "2", "--results", results,
+                "--out-svg", out]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error: line 3: ")
+    assert "Traceback" not in stderr
+    assert not out.exists()

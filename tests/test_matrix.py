@@ -12,7 +12,6 @@ from rankmerge.matrix import (
     InfoMatrix,
     common_rows,
     exclude_samples,
-    heterogeneity_split,
     median_column,
     merge_data,
     merge_datasets,
@@ -21,6 +20,7 @@ from rankmerge.matrix import (
     reduce_duplicates,
     select_samples,
 )
+from rankmerge.rstats import heterogeneity_split
 
 NA = math.nan
 
@@ -85,6 +85,21 @@ class TestDataMatrix:
         t = m.take_cols([2, 0])
         assert t.col_names == ("c3", "c1")
         assert t.values.tolist() == [[3, 1]]
+
+    def test_take_rows_order_and_repeats(self):
+        m = dm(["a", "b", "c"], ["c1", "c2"], [[1, 2], [3, 4], [5, 6]])
+        t = m.take_rows(["c", "a", "c"])
+        assert t.row_names == ("c", "a", "c")
+        assert t.col_names == m.col_names
+        assert t.values.tolist() == [[5, 6], [1, 2], [5, 6]]
+
+    def test_take_rows_first_occurrence_on_duplicates(self):
+        m = dm(["a", "b", "a"], ["c1"], [[1], [2], [3]])
+        assert m.take_rows(["b", "a"]).values.tolist() == [[2], [1]]
+
+    def test_take_rows_unknown_name(self):
+        with pytest.raises(KeyError):
+            dm(["a"], ["c1"], [[1]]).take_rows(["zz"])
 
 
 class TestInfoMatrix:

@@ -27,6 +27,7 @@ from rankmerge.rstats import (
     pearson,
     rank_features,
     read_results_tsv,
+    sample_groups,
     significant_features,
     spearman,
     wilcoxon_group_vs_rest,
@@ -513,6 +514,36 @@ class TestWilcoxonGroupVsRest:
         assert out[0].p_raw.p == pytest.approx(1 / 6, abs=1e-12)
 
 
+class TestSampleGroups:
+    def dataset(self):
+        return make_dataset(["g"], [f"s{j}" for j in range(5)], [[0, 1, 2, 3, 4]],
+                            fields=["grp", "one"],
+                            cells=[("b", "a", "b", "c", "a"), ("x",) * 5])
+
+    def test_one_group_per_value_in_first_seen_order(self):
+        groups = sample_groups(self.dataset(), "grp")
+        assert [g.col_names for g in groups] == [
+            ("s0", "s2"), ("s1", "s4"), ("s3",)]
+        assert [g.values.tolist() for g in groups] == [
+            [[0, 2]], [[1, 4]], [[3]]]
+
+    def test_keyword_gives_matching_then_rest(self):
+        match, rest = sample_groups(self.dataset(), "grp", "B")
+        assert match.col_names == ("s0", "s2")
+        assert rest.col_names == ("s1", "s3", "s4")
+        match, rest = sample_groups(self.dataset(), "grp", "a", mode="exact")
+        assert match.col_names == ("s1", "s4")
+
+    def test_single_value_field_is_degenerate(self):
+        with pytest.raises(DegenerateDataError, match="single value"):
+            sample_groups(self.dataset(), "one")
+
+    @pytest.mark.parametrize("keyword", [None, "a"])
+    def test_unknown_field(self, keyword):
+        with pytest.raises(KeyError, match="nope"):
+            sample_groups(self.dataset(), "nope", keyword)
+
+
 # ---------------------------------------------------------------------------
 # FDR and ranking
 # ---------------------------------------------------------------------------
@@ -752,3 +783,19 @@ class TestResultsTsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             read_results_tsv(io.StringIO("nope\tcolumns\n"))
+
+    @pytest.mark.parametrize("column, cell, message", [
+        (1, "abc", "could not convert string to float: 'abc'"),
+        (3, "x", "could not convert string to float: 'x'"),
+        (5, "0.5", "log probability must be <= 0"),
+        (6, "sideways", "direction must be one of"),
+    ])
+    def test_bad_cell_names_its_line(self, column, cell, message):
+        buf = io.StringIO()
+        write_results_tsv(self.rows(), buf)
+        lines = buf.getvalue().split("\n")
+        cells = lines[2].split("\t")
+        cells[column] = cell
+        lines[2] = "\t".join(cells)
+        with pytest.raises(ParseError, match=f"^line 3: {message}"):
+            read_results_tsv(io.StringIO("\n".join(lines)))
