@@ -61,6 +61,7 @@ from .rstats import (
     wilcoxon_group_vs_rest,
     wilcoxon_one_sided,
     wilcoxon_per_feature,
+    write_pairwise_text,
 )
 from .multivar import factor_plot_medians, pca, project_first_plane
 
@@ -82,7 +83,7 @@ __all__ = [
     "kruskal_wallis", "kw_per_feature", "median_correlation", "pair_count",
     "pairwise_row_correlations", "parse_gmt", "pearson", "rank_features",
     "sample_groups", "significant_features", "spearman", "wilcoxon_group_vs_rest",
-    "wilcoxon_one_sided", "wilcoxon_per_feature",
+    "wilcoxon_one_sided", "wilcoxon_per_feature", "write_pairwise_text",
     "factor_plot_medians", "pca", "project_first_plane",
     "__version__",
 ]

@@ -7,7 +7,9 @@ Flags are long-form only.  A JSON config file (--config) may supply
 defaults: top-level keys apply to every command, a key named after a
 command holds per-command overrides, and explicit flags beat both.
 --seed, --threads and --config are accepted before or after the
-command name.
+command name.  --threads N formats the text of pairwise in N worker
+processes (other commands ignore it); the output bytes are the same for
+any N.
 
 Exit codes: 0 success, 1 usage or generic data error, 2 input parse
 error, 3 annotation failure, 4 dataset already scored, 5 no common
@@ -68,13 +70,14 @@ from .rstats import (
     kw_per_feature,
     median_correlation,
     p_cells,
-    pairwise_row_correlations,
+    pairwise_row_correlations,  # unused; bench/run.py wraps this cli name
     parse_gmt,
     rank_features,
     sample_groups,
     significant_features,
     wilcoxon_group_vs_rest,
     wilcoxon_per_feature,
+    write_pairwise_text,
     write_results_tsv,
     read_results_tsv,
 )
@@ -314,10 +317,8 @@ def cmd_pairwise(args: argparse.Namespace, opts: Options) -> int:
     chunk = opts.get_int("chunk", 256)
     threads = opts.get_int("threads", 1)
     with _partial_file(args.out) as fh:
-        def sink(a: str, b: str, r: float) -> None:
-            fh.write(f"{a}\t{b}\t{float(r)!r}\n")
-        result = pairwise_row_correlations(ds.data, sink, method=method,
-                                           chunk=chunk, threads=threads)
+        result = write_pairwise_text(ds.data, fh, method=method, chunk=chunk,
+                                     threads=threads)
     print(f"pairs={result.emitted} skipped={result.skipped}")
     return 0
 
@@ -328,7 +329,8 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
                           "--alternative")
     exact = _choice(opts.get("exact", "auto"),
                     {"auto": None, "on": True, "off": False}, "--exact")
-    mode = opts.get("mode", "substring")
+    mode = _choice(opts.get("mode", "substring"),
+                   {"substring": "substring", "exact": "exact"}, "--mode")
     alpha = opts.get_float("fdr", 0.05)
     rank_by = opts.get("rank_by", "p")
 
@@ -509,7 +511,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized operations (default 0)")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="kept for compatibility, >= 1 (default 1)")
+                        help="processes formatting pairwise text, >= 1 (default 1)")
 
     parser = _Parser(prog="rankmerge", parents=[common],
                      description="Rank-based merging and analysis "

@@ -15,7 +15,10 @@ distinct, comparable significance.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress, repeat
@@ -244,12 +247,101 @@ def pairwise_row_correlations(m: DataMatrix,
 
     One serial loop correlates ``chunk`` rows at a time with every later
     row by block products and emits their pairs in row order (i < j),
-    so memory stays at O(chunk x rows).  No thread is started: numpy's
-    BLAS spreads each product over the cores; ``threads`` (>= 1) is kept
-    for compatibility.  Spearman ranks each row as :func:`spearman` does.
-    A pair with fewer than 3 complete observations, or a row constant
-    over them, is skipped and counted (see :func:`_block_correlations`).
+    so memory stays at O(chunk x rows).  ``sink`` is called in this
+    process; ``threads`` (>= 1) only sets the text formatting workers of
+    :func:`write_pairwise_text`.  Spearman ranks each row as
+    :func:`spearman` does.  A pair with fewer than 3 complete
+    observations, or a row constant over them, is skipped and counted
+    (see :func:`_block_correlations`).
     """
+    emitted = 0
+    for s, r, keep in _correlation_blocks(m, method, chunk, threads):
+        names = m.row_names[s:]
+        for k, a in enumerate(names[:len(r)]):
+            partners, rs = _partners(names, r, keep, k)
+            for b, v in zip(partners, rs):
+                sink(a, b, v)
+            emitted += len(rs)
+    return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
+
+
+# formatting task size: rows per task = max(1, _TASK_PAIRS // rows)
+_TASK_PAIRS = 2 ** 16
+
+
+def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson",
+                        chunk: int = 256, threads: int = 1) -> PairwiseResult:
+    """Write one line "a<TAB>b<TAB>repr(r)" per pair that
+    :func:`pairwise_row_correlations` emits, in the same order.
+
+    This process runs the block products and is the only writer.  The
+    lines of about 2^16 pairs at a time are formatted by
+    :func:`_pair_lines`, inline for one worker and otherwise in a pool of
+    min(``threads``, CPUs, tasks) processes with at most two tasks per
+    worker in flight, so the bytes are the same for any ``threads``.
+    """
+    blocks = _correlation_blocks(m, method, chunk, threads)
+    n = m.n_rows
+    per_task = max(1, _TASK_PAIRS // max(n, 1))
+    tasks = ((m.row_names[s + a:], r[a:a + per_task, a:], keep[a:a + per_task, a:])
+             for s, r, keep in blocks for a in range(0, len(r), per_task))
+    n_tasks = sum(math.ceil(min(chunk, n - s) / per_task) for s in range(0, n, chunk))
+    workers = min(threads, os.cpu_count() or 1, n_tasks)
+    emitted = 0
+    with closing(_formatted(tasks, workers)) as results:
+        for pairs, text in results:
+            dest.write(text)
+            emitted += pairs
+    return PairwiseResult(emitted, pair_count(n) - emitted)
+
+
+def _formatted(tasks, workers: int):
+    """:func:`_pair_lines` of each task, in task order."""
+    if workers < 2:
+        yield from (_pair_lines(*task) for task in tasks)
+        return
+    pool, pending = _pool(workers), deque()
+    try:
+        for task in tasks:
+            pending.append(pool.submit(_pair_lines, *task))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _pool(workers: int):
+    # the platform's default start method: workers only format their
+    # arguments (no BLAS call, no lock of this process), and a spawned
+    # worker would first spend a numpy import on every command.  A
+    # worker that dies breaks the pool, which raises, not hangs.
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers)
+
+
+def _pair_lines(names: Sequence[str], r: np.ndarray,
+                keep: np.ndarray) -> tuple[int, str]:
+    """(pairs, text) of rows k of ``r`` against their later rows k + 1:,
+    where ``names[k]`` names row k (and column k) of ``r`` and ``keep``."""
+    pairs, lines = 0, []
+    for k, a in enumerate(names[:len(r)]):
+        partners, rs = _partners(names, r, keep, k)
+        lines.append("".join([f"{a}\t{b}\t{v!r}\n" for b, v in zip(partners, rs)]))
+        pairs += len(rs)
+    return pairs, "".join(lines)
+
+
+def _partners(names: Sequence[str], r: np.ndarray, keep: np.ndarray, k: int):
+    """The kept later partners of row k and their correlations."""
+    ok = keep[k, k + 1:]
+    return compress(names[k + 1:], ok.tolist()), r[k, k + 1:][ok].tolist()
+
+
+def _correlation_blocks(m: DataMatrix, method: str, chunk: int, threads: int):
+    """Check the arguments now; then yield (s, r, keep) per block of
+    ``chunk`` rows s:e, with r and keep of rows s:e against rows s:."""
     if method not in _CORR_FUNCS:
         raise ValueError(f"unknown correlation method {method!r}")
     if m.n_cols < 3:
@@ -261,16 +353,8 @@ def pairwise_row_correlations(m: DataMatrix,
 
     vals = np.array(m.values, dtype=float)
     block = _block_correlations(rank_rows(vals)[0] if method == "spearman" else vals)
-    names, emitted = m.row_names, 0
-    for s in range(0, m.n_rows, chunk):
-        r, keep = block(s, min(s + chunk, m.n_rows))
-        for i in range(s, s + len(r)):
-            ok = keep[i - s, i + 1 - s:]
-            rs = r[i - s, i + 1 - s:][ok].tolist()
-            for b, v in zip(compress(names[i + 1:], ok.tolist()), rs):
-                sink(names[i], b, v)
-            emitted += len(rs)
-    return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
+    return ((s, *block(s, min(s + chunk, m.n_rows)))
+            for s in range(0, m.n_rows, chunk))
 
 
 def _block_correlations(vals: np.ndarray):

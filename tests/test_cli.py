@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rankmerge import rstats
 from rankmerge.cli import _partial_file, main
 from rankmerge.ingest import load_dataset, save_dataset
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
 from rankmerge.numerics import LogP
 from rankmerge.rstats import TestResult as Result
-from rankmerge.rstats import read_results_tsv, write_results_tsv
+from rankmerge.rstats import _pair_lines, read_results_tsv, write_results_tsv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NA = math.nan
@@ -251,6 +253,13 @@ class TestMedianCorCommand:
         assert code == 5
 
 
+def _fail_second_task(names, r, keep):
+    # with --chunk 4 the second task starts at row g4
+    if names[0] == "g4":
+        raise ValueError(f"second task failed in process {os.getpid()} ")
+    return _pair_lines(names, r, keep)
+
+
 class TestPairwiseCommand:
     def test_three_rows_three_lines(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "d", ["a", "b", "c"], ["s1", "s2", "s3"],
@@ -266,14 +275,46 @@ class TestPairwiseCommand:
 
     def test_thread_count_is_invisible_in_output(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
+        vals = rng.normal(size=(23, 7))
+        gappy = vals.copy()
+        gappy[rng.random(vals.shape) < 0.2] = NA
+        for name, values in (("d", vals), ("gappy", gappy)):
+            ds = make_ds(tmp_path, name, [f"g{i}" for i in range(23)],
+                         [f"s{j}" for j in range(7)], values)
+            for threads in ("1", "4"):
+                code, _, _ = run(capsys, "pairwise", ds, "--threads", threads,
+                                 "--chunk", "4",
+                                 "--out", tmp_path / f"{name}{threads}.tsv")
+                assert code == 0
+            assert (tmp_path / f"{name}1.tsv").read_bytes() \
+                == (tmp_path / f"{name}4.tsv").read_bytes()
+
+    def test_threads_below_one_exit_1(self, tmp_path, capsys):
+        ds = make_ds(tmp_path, "d", ["a", "b"], ["s1", "s2", "s3"],
+                     [[1, 2, 3], [3, 1, 2]])
+        out = tmp_path / "p.txt"
+        code, _, stderr = run(capsys, "pairwise", ds, "--threads", "0",
+                              "--out", out)
+        assert code == 1 and "threads" in stderr
+        assert not out.exists()
+
+    def test_worker_failure_cleans_up(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rstats, "_pair_lines", _fail_second_task)
+        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(3)
         ds = make_ds(tmp_path, "d", [f"g{i}" for i in range(23)],
                      [f"s{j}" for j in range(7)], rng.normal(size=(23, 7)))
-        run(capsys, "pairwise", ds, "--threads", "1", "--chunk", "4",
-            "--out", tmp_path / "t1.tsv")
-        run(capsys, "pairwise", ds, "--threads", "4", "--chunk", "4",
-            "--out", tmp_path / "t4.tsv")
-        assert (tmp_path / "t1.tsv").read_bytes() \
-            == (tmp_path / "t4.tsv").read_bytes()
+        out = tmp_path / "p.txt"
+        code, _, stderr = run(capsys, "pairwise", ds, "--threads", "2",
+                              "--chunk", "4", "--out", out)
+        assert code != 0 and "second task failed in process" in stderr
+        assert not out.exists()
+        assert not (tmp_path / "p.txt.partial").exists()
+        pid = int(stderr.split("process ")[1].split()[0])
+        assert pid != os.getpid()
+        assert not multiprocessing.active_children()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_failure_leaves_no_partial_file(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "d", ["a", "b"], ["s1", "s2"], [[1, 2], [3, 4]])
@@ -306,6 +347,17 @@ class TestTestCommand:
         code, _, stderr = run(capsys, "test", ds, "--test", "kw",
                               "--out", tmp_path / "r.tsv")
         assert code == 1 and "--field" in stderr
+
+    @pytest.mark.parametrize("command", ["test", "select"])
+    def test_unknown_config_mode_exit_1(self, tmp_path, capsys, command):
+        ds = two_group_dataset(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "regex"}))
+        extra = ["--test", "kw"] if command == "test" else []
+        code, _, stderr = run(capsys, command, ds, *extra, "--field", "grp",
+                              "--keyword", "sel", "--config", cfg,
+                              "--out", tmp_path / "o")
+        assert code == 1 and "'regex'" in stderr
 
     def test_single_valued_field_degenerate(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "flat", ["X"], ["s1", "s2"], [[1.0, 2.0]],

@@ -1,12 +1,17 @@
 import io
 import math
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from rankmerge import rstats
 from rankmerge.errors import DegenerateDataError, ParseError
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
 from rankmerge.numerics import LogP
@@ -32,6 +37,7 @@ from rankmerge.rstats import (
     spearman,
     wilcoxon_group_vs_rest,
     wilcoxon_one_sided,
+    write_pairwise_text,
     write_results_tsv,
 )
 
@@ -159,6 +165,16 @@ def collect_pairs(m, **kw):
     got = []
     res = pairwise_row_correlations(m, lambda a, b, r: got.append((a, b, r)), **kw)
     return got, res
+
+
+def _memory_case(missing):
+    """3,000 rows, one in ten not constant."""
+    rng = np.random.default_rng(14)
+    vals = np.ones((3000, 40))
+    vals[::10] = rng.normal(size=(300, 40))
+    if missing:
+        vals[::7, 5] = NA
+    return dm([f"r{i}" for i in range(3000)], [f"c{j}" for j in range(40)], vals)
 
 
 class TestPairwise:
@@ -300,16 +316,148 @@ class TestPairwise:
         # at 3,000 rows the upper triangle of r is 36 MB, and a block of
         # 64 rows against every partner 1.5 MB.  Most rows are constant,
         # so few pairs reach the sink, but every block product is formed.
-        rng = np.random.default_rng(14)
-        vals = np.ones((3000, 40))
-        vals[::10] = rng.normal(size=(300, 40))
-        if missing:
-            vals[::7, 5] = NA
-        m = dm([f"r{i}" for i in range(3000)], [f"c{j}" for j in range(40)],
-               vals)
+        m = _memory_case(missing)
         tracemalloc.start()
         try:
             res = pairwise_row_correlations(m, lambda a, b, r: None, chunk=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.emitted == math.comb(300, 2)
+        assert peak < 12 * 64 * 3000 * 8
+
+
+# ---------------------------------------------------------------------------
+# pairwise text
+# ---------------------------------------------------------------------------
+
+def _pairwise_case(kind):
+    """(matrix, method, chunk) of one byte-identity case."""
+    rng = np.random.default_rng(15)
+    vals = rng.normal(size=(29, 8))
+    method, chunk = "pearson", 5
+    if kind == "missing":
+        vals[rng.random(vals.shape) < 0.2] = NA
+    elif kind == "spearman_ties":
+        vals = np.round(vals, 0)
+        vals[rng.random(vals.shape) < 0.1] = NA
+        method = "spearman"
+    elif kind == "chunk_not_dividing":
+        chunk = 7
+    elif kind == "no_kept_partners":
+        # rows 20 and up are constant, so row 19 keeps no partner
+        vals[20:] = 1.0
+    elif kind == "one_task":
+        vals, chunk = vals[:6], 256
+    names = [f"r{i}" for i in range(len(vals))]
+    return dm(names, [f"c{j}" for j in range(vals.shape[1])], vals), method, chunk
+
+
+def _reference_text(m, **kw):
+    got, res = collect_pairs(m, **kw)
+    return "".join(f"{a}\t{b}\t{r!r}\n" for a, b, r in got), res
+
+
+def _die_on_second_task(names, r, keep):
+    # with 40 pairs per task and chunk 5, the second task starts at row r1
+    if names[0] == "r1":
+        os._exit(1)
+    return rstats._pair_lines(names, r, keep)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+class _InlinePool:
+    """Stands in for a process pool: records its size, runs tasks inline."""
+
+    def __init__(self, sizes, workers):
+        sizes.append(workers)
+
+    def submit(self, func, *args):
+        result = func(*args)
+        return type("Done", (), {"result": lambda self: result})()
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+class TestWritePairwiseText:
+    KINDS = ["dense", "missing", "spearman_ties", "chunk_not_dividing",
+             "no_kept_partners", "one_task"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("task_pairs", [rstats._TASK_PAIRS, 40])
+    def test_bytes_match_sink_reference(self, kind, task_pairs, monkeypatch):
+        # 40 pairs per task splits each block into tasks of one row
+        monkeypatch.setattr(rstats, "_TASK_PAIRS", task_pairs)
+        m, method, chunk = _pairwise_case(kind)
+        want, want_res = _reference_text(m, method=method, chunk=chunk)
+        assert want
+        for threads in (1, 2, 3):
+            buf = io.StringIO()
+            res = write_pairwise_text(m, buf, method, chunk, threads)
+            assert buf.getvalue() == want
+            assert res == want_res
+
+    def test_no_kept_partners_case_has_such_a_row(self):
+        m, method, chunk = _pairwise_case("no_kept_partners")
+        got, _ = collect_pairs(m, method=method, chunk=chunk)
+        assert "r18" in {a for a, _, _ in got}
+        assert "r19" not in {a for a, _, _ in got}
+
+    def test_spawned_workers_write_the_same_bytes(self, monkeypatch):
+        # every task carries its own names and rows, so workers need no
+        # state inherited by fork
+        monkeypatch.setattr(rstats, "_pool", lambda workers: ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn")))
+        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
+        m, method, chunk = _pairwise_case("missing")
+        buf = io.StringIO()
+        write_pairwise_text(m, buf, method, chunk, threads=2)
+        assert buf.getvalue() == _reference_text(m, method=method, chunk=chunk)[0]
+
+    @pytest.mark.parametrize("kind, cpus, workers",
+                             [("dense", 7, 6), ("dense", 4, 4), ("one_task", 7, 1)])
+    def test_workers_clamped_to_cpus_and_tasks(self, kind, cpus, workers,
+                                               monkeypatch):
+        # dense: 29 rows in blocks of 5 are 6 tasks; one_task: 1 task
+        sizes = []
+        monkeypatch.setattr(rstats, "_pool", lambda w: _InlinePool(sizes, w))
+        monkeypatch.setattr(rstats.os, "cpu_count", lambda: cpus)
+        m, method, chunk = _pairwise_case(kind)
+        buf = io.StringIO()
+        write_pairwise_text(m, buf, method, chunk, threads=10 ** 9)
+        assert sizes == ([workers] if workers > 1 else [])
+        assert buf.getvalue() == _reference_text(m, method=method, chunk=chunk)[0]
+
+    def test_dead_worker_raises(self, monkeypatch):
+        monkeypatch.setattr(rstats, "_TASK_PAIRS", 40)
+        monkeypatch.setattr(rstats, "_pair_lines", _die_on_second_task)
+        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
+        m, method, chunk = _pairwise_case("dense")
+        with pytest.raises(BrokenProcessPool):
+            write_pairwise_text(m, io.StringIO(), method, chunk, threads=2)
+        assert not multiprocessing.active_children()
+
+    def test_one_thread_starts_no_pool(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(rstats, "_pool", no_pool)
+        m, method, chunk = _pairwise_case("dense")
+        write_pairwise_text(m, io.StringIO(), method, chunk, threads=1)
+
+    @pytest.mark.parametrize("missing", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_holds_one_block(self, missing, threads):
+        # as TestPairwise.test_memory_holds_one_block, through the text
+        # writer; the lines in flight stay within the same bound
+        m = _memory_case(missing)
+        tracemalloc.start()
+        try:
+            res = write_pairwise_text(m, _Discard(), chunk=64, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
