@@ -28,6 +28,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +76,8 @@ def _unquote(cell: str) -> str:
     return cell
 
 
-def _is_missing(cell: str) -> bool:
-    return cell == "" or cell.lower() == "null"
+# value cells read as missing: empty or "null" in any case
+_SERIES_MISSING = frozenset(["", *("".join(c) for c in product(*zip("null", "NULL")))])
 
 
 @contextmanager
@@ -92,11 +93,26 @@ def open_text(path: str | Path):
 
 
 def _lines(source):
-    if isinstance(source, (str, Path)):
-        with open_text(source) as fh:
-            yield from fh
+    r"""The lines of a path or of a line iterable, without line ends.
+
+    A file is read whole and split on "\n": universal newlines have
+    turned "\r" and "\r\n" into "\n", and ``str.splitlines`` would also
+    split on U+2028, "\x1c" and others.
+    """
+    if not isinstance(source, (str, Path)):
+        yield from (raw.rstrip("\r\n") for raw in source)
         return
-    yield from source
+    with open_text(source) as fh:
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError:
+            # line by line, a fault before the undecodable chunk comes first
+            fh.seek(0)
+            yield from (raw.rstrip("\n") for raw in fh)
+            return
+    if lines[-1] == "":
+        lines.pop()
+    yield from lines
 
 
 def parse_series_matrix(source) -> SeriesMatrixDocument:
@@ -104,12 +120,29 @@ def parse_series_matrix(source) -> SeriesMatrixDocument:
 
     Raises :class:`ParseError` with a 1-based line number for missing
     sentinels, a bad header, ragged rows, duplicate sample accessions,
-    duplicate probe ids and non-numeric value cells.
+    duplicate probe ids and non-numeric value cells.  The value cells are
+    read after the pass over the lines, all rows in one numpy parse where
+    it can; the first fault in file order is still the one raised.
     """
+    texts: list[str] = []  # the value cells of each probe row
+    linenos: list[int] = []
+    try:
+        metadata, probe_ids, samples = _scan_series_matrix(source, texts, linenos)
+    except Exception:
+        # whatever ended the scan (a ParseError, the line source's own
+        # error), a bad value cell on an earlier line is reported first
+        _series_values(texts, linenos)
+        raise
+    return SeriesMatrixDocument(tuple(metadata), tuple(probe_ids), samples,
+                                _series_values(texts, linenos))
+
+
+def _scan_series_matrix(source, texts: list[str], linenos: list[int]):
+    """Metadata, probe ids and samples; each probe row's value text and
+    line number are appended to ``texts`` and ``linenos`` as it is read."""
     metadata: list[tuple[str, tuple[str, ...]]] = []
     probe_ids: list[str] = []
     seen_probes: set[str] = set()
-    rows: list[list[float]] = []
     samples: tuple[str, ...] | None = None
 
     in_table = False
@@ -117,8 +150,7 @@ def parse_series_matrix(source) -> SeriesMatrixDocument:
     saw_end = False
     lineno = 0
 
-    for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.rstrip("\r\n")
+    for lineno, line in enumerate(_lines(source), start=1):
         if not in_table:
             if not line.strip():
                 continue
@@ -142,8 +174,8 @@ def parse_series_matrix(source) -> SeriesMatrixDocument:
             in_table = False
             saw_end = True
             continue
-        cells = line.split("\t")
         if samples is None:
+            cells = line.split("\t")
             if _unquote(cells[0]) != "ID_REF":
                 raise ParseError(
                     f"table header must start with ID_REF, got {cells[0]!r}", lineno)
@@ -159,25 +191,18 @@ def parse_series_matrix(source) -> SeriesMatrixDocument:
                 seen.add(acc)
             samples = accessions
             continue
-        if len(cells) != 1 + len(samples):
+        n_cells = line.count("\t") + 1
+        if n_cells != 1 + len(samples):
             raise ParseError(
-                f"expected {1 + len(samples)} cells, got {len(cells)}", lineno)
-        probe = _unquote(cells[0])
+                f"expected {1 + len(samples)} cells, got {n_cells}", lineno)
+        probe, _, text = line.partition("\t")
+        probe = _unquote(probe)
         if probe in seen_probes:
             raise ParseError(f"duplicate probe id {probe!r}", lineno)
         seen_probes.add(probe)
         probe_ids.append(probe)
-        row: list[float] = []
-        for c in cells[1:]:
-            c = _unquote(c)
-            if _is_missing(c):
-                row.append(math.nan)
-                continue
-            try:
-                row.append(float(c))
-            except ValueError:
-                raise ParseError(f"non-numeric value cell {c!r}", lineno) from None
-        rows.append(row)
+        texts.append(text)
+        linenos.append(lineno)
 
     if not saw_begin:
         raise ParseError("missing table begin sentinel", lineno or 1)
@@ -187,9 +212,13 @@ def parse_series_matrix(source) -> SeriesMatrixDocument:
         raise ParseError("table has no header row", lineno or 1)
     if not probe_ids:
         raise ParseError("table has no probe rows", lineno or 1)
+    return metadata, probe_ids, samples
 
-    values = np.array(rows, dtype=float).reshape(len(probe_ids), len(samples))
-    return SeriesMatrixDocument(tuple(metadata), tuple(probe_ids), samples, values)
+
+def _series_values(texts: list[str], linenos: list[int]) -> np.ndarray:
+    n_cols = texts[0].count("\t") + 1 if texts else 0
+    return _parse_values(texts, linenos, n_cols, _SERIES_MISSING,
+                         "non-numeric value cell", unquote=True)
 
 
 def _fmt_value(v: float) -> str:
@@ -225,24 +254,26 @@ def parse_annotation(source) -> dict[str, tuple[str, ...]]:
     probe to no symbol.  Duplicate probe ids are an error.
     """
     mapping: dict[str, tuple[str, ...]] = {}
-    for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.rstrip("\r\n")
+    for lineno, line in enumerate(_lines(source), start=1):
         if not line.strip():
             continue
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 columns, got {len(cells)}", lineno)
-        probe, symbol_cell = cells[0].strip(), cells[1].strip()
+        n_cells = line.count("\t") + 1
+        if n_cells != 2:
+            raise ParseError(f"expected 2 columns, got {n_cells}", lineno)
+        probe, _, symbol_cell = line.partition("\t")
+        probe, symbol_cell = probe.strip(), symbol_cell.strip()
         if lineno == 1 and probe == "ID" and symbol_cell == "Symbol":
             continue
         if not probe:
             raise ParseError("empty probe id", lineno)
         if probe in mapping:
             raise ParseError(f"duplicate probe id {probe!r}", lineno)
-        symbols = tuple(s for s in
-                        (t.strip() for t in symbol_cell.split(MULTI_SYMBOL_SEPARATOR))
-                        if s)
-        mapping[probe] = symbols
+        if MULTI_SYMBOL_SEPARATOR not in symbol_cell:
+            mapping[probe] = (symbol_cell,) if symbol_cell else ()
+            continue
+        mapping[probe] = tuple(s for s in (t.strip() for t in
+                                           symbol_cell.split(MULTI_SYMBOL_SEPARATOR))
+                               if s)
     if not mapping:
         raise ParseError("annotation file has no rows")
     return mapping
@@ -326,7 +357,7 @@ V1_DATA_FILE = "data.tsv"
 _VERSION_FILES = {1: (V1_DATA_FILE, INFO_FILE),
                   2: (FEATURES_FILE, DATA_FILE, INFO_FILE)}
 
-_MISSING_CELL = "NA"
+_V1_MISSING = frozenset(["NA"])
 # numpy's parser skips these as whitespace around a number, float() does not
 _NON_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 _BREAKS = "\t\r\n"
@@ -396,49 +427,64 @@ def _read_tsv(path: Path) -> tuple[list[str], list[str], list[str], list[int]]:
     return cols, row_names, texts, linenos
 
 
-def _bulk_values(texts: list[str], n_cols: int) -> np.ndarray | None:
-    """The data body in one numpy parse, or None where it rejects it."""
-    if any(c in t for t in texts for c in _NON_FLOAT_SPACE):
+def _bulk_values(texts: list[str], n_cols: int, missing) -> np.ndarray | None:
+    """The tab-separated value texts in one numpy parse, a cell spelled
+    as in ``missing`` read as NaN; None where numpy rejects a cell (a
+    quote, "1_0" or a bad cell) or could read one otherwise than float()."""
+    body = "\t" + "\t\n\t".join(texts) + "\t"  # each cell between tabs
+    if any(c in body for c in _NON_FLOAT_SPACE):
         return None
-    lines = [t if _MISSING_CELL not in t else
-             "\t".join(["nan" if c == _MISSING_CELL else c for c in t.split("\t")])
-             for t in texts]
+    # numpy has no missing cell: each text that may hold one, as its
+    # first character or as an empty cell, gets "nan" in its place
+    firsts = {s[:1] for s in missing}  # "" stands for an empty cell
+    lines = list(texts)
+    if any(c in body if c else "\t\t" in body for c in firsts):
+        padded = [f"\t{t}\t" for t in texts]
+        heads = {"\t" + (c or "\t") for c in firsts}
+        for i in {i for h in heads for i, t in enumerate(padded) if h in t}:
+            lines[i] = "\t".join(["nan" if c in missing else c
+                                  for c in texts[i].split("\t")])
     try:
-        values = np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)
+        values = np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
+                            ndmin=2)
     except ValueError:
         return None
     return values if values.shape == (len(texts), n_cols) else None
 
 
-def _parse_values(texts: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
-    """The numeric body of a version-1 data.tsv; "NA" cells become NaN.
+def _parse_values(texts: list[str], linenos: list[int], n_cols: int, missing,
+                  bad: str, unquote: bool = False) -> np.ndarray:
+    """The tab-separated value texts as rows; a cell in ``missing``
+    (after ``_unquote`` if ``unquote``) is NaN.
 
-    One bulk parse reads the usual file.  Input it rejects goes to the
-    per-cell ``float()`` parser, which accepts a few more spellings
-    (such as "1_0") and names the line of a bad cell.
+    One bulk parse reads the usual input.  Input it rejects goes to the
+    per-cell ``float()`` parser, which accepts a few more spellings (such
+    as "1_0") and raises ``bad`` with the first bad cell and its line.
     """
     if texts and n_cols:
-        values = _bulk_values(texts, n_cols)
+        values = _bulk_values(texts, n_cols, missing)
         if values is not None:
             return values
     values = np.empty((len(texts), n_cols))
     for i, (text, lineno) in enumerate(zip(texts, linenos)):
         for j, cell in enumerate(text.split("\t") if n_cols else ()):
-            if cell == _MISSING_CELL:
+            if unquote:
+                cell = _unquote(cell)
+            if cell in missing:
                 values[i, j] = math.nan
                 continue
             try:
                 values[i, j] = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"{V1_DATA_FILE}: non-numeric cell {cell!r}", lineno) from None
+                raise ParseError(f"{bad} {cell!r}", lineno) from None
     return values
 
 
 def _read_v1_data(root: Path) -> DataMatrix:
     cols, features, texts, linenos = _read_tsv(root / V1_DATA_FILE)
     return DataMatrix(tuple(features), tuple(cols),
-                      _parse_values(texts, linenos, len(cols)))
+                      _parse_values(texts, linenos, len(cols), _V1_MISSING,
+                                    f"{V1_DATA_FILE}: non-numeric cell"))
 
 
 def _read_v2_data(root: Path, cols: tuple[str, ...]) -> DataMatrix:

@@ -296,10 +296,12 @@ def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson",
 
 
 def _formatted(tasks, workers: int):
-    """:func:`_pair_lines` of each task, in task order."""
+    """:func:`_pair_lines` of each task, in task order.  A worker that
+    dies is a ChildProcessError naming the formatter."""
     if workers < 2:
         yield from (_pair_lines(*task) for task in tasks)
         return
+    from concurrent.futures.process import BrokenProcessPool
     pool, pending = _pool(workers), deque()
     try:
         for task in tasks:
@@ -308,6 +310,8 @@ def _formatted(tasks, workers: int):
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"pairwise text formatter: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
 

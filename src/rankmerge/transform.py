@@ -102,8 +102,9 @@ def _row_scores(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "ecdf":
         return ranks / n[:, None]
     p = ranks / (n + 1)[:, None]
-    present = ~np.isnan(p)
-    p[present] = inv_norm_cdf(p[present])
+    for row in p:  # one row at a time, its temporaries stay in cache
+        present = ~np.isnan(row)
+        row[present] = inv_norm_cdf(row[present])
     return p
 
 

@@ -56,3 +56,22 @@ def test_tail_times_calls_scalar_tails_that_take_one_float(run_py):
     numerics = importlib.import_module("rankmerge.numerics")
     assert isinstance(numerics.chi_sq_upper_tail_ln(3.5, 2), LogP)
     assert isinstance(numerics.norm_upper_tail_ln(1.25), LogP)
+
+
+def test_ingest_calls_the_wrapped_parsers_by_bare_name(run_py):
+    """The ingest parse spans wrap the ``cli`` attributes, so they time
+    the whole parse only while ``cmd_ingest`` calls those names."""
+    wrapped = {attr for module, attr, layer in _assigned(run_py, "BOUNDARIES")
+               if module == "cli" and layer == "ingest"}
+    parsers = {"parse_series_matrix", "parse_annotation"}
+    assert parsers <= wrapped
+    cli = importlib.import_module("rankmerge.cli")
+    ingest = importlib.import_module("rankmerge.ingest")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = [node.func for node in ast.walk(_function(tree, "cmd_ingest"))
+             if isinstance(node, ast.Call)]
+    bare = {f.id for f in calls if isinstance(f, ast.Name)}
+    dotted = {f.attr for f in calls if isinstance(f, ast.Attribute)}
+    assert parsers <= bare and not parsers & dotted
+    for name in parsers:
+        assert getattr(cli, name) is getattr(ingest, name)

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -260,6 +261,12 @@ def _fail_second_task(names, r, keep):
     return _pair_lines(names, r, keep)
 
 
+def _kill_second_task(names, r, keep):
+    if names[0] == "g4":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _pair_lines(names, r, keep)
+
+
 class TestPairwiseCommand:
     def test_three_rows_three_lines(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "d", ["a", "b", "c"], ["s1", "s2", "s3"],
@@ -315,6 +322,22 @@ class TestPairwiseCommand:
         assert not multiprocessing.active_children()
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+    def test_killed_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rstats, "_pair_lines", _kill_second_task)
+        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(3)
+        ds = make_ds(tmp_path, "d", [f"g{i}" for i in range(23)],
+                     [f"s{j}" for j in range(7)], rng.normal(size=(23, 7)))
+        out = tmp_path / "p.txt"
+        code, stdout, stderr = run(capsys, "pairwise", ds, "--threads", "2",
+                                   "--chunk", "4", "--out", out)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: pairwise text formatter: ")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert not out.exists()
+        assert not (tmp_path / "p.txt.partial").exists()
+        assert not multiprocessing.active_children()
 
     def test_failure_leaves_no_partial_file(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "d", ["a", "b"], ["s1", "s2"], [[1, 2], [3, 4]])

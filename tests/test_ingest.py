@@ -470,6 +470,12 @@ class TestDataCodec:
             load_dataset(out)
         assert exc.value.line == 4 and repr(cell) in str(exc.value)
 
+    def test_empty_cell_of_one_column_names_its_line(self, tmp_path):
+        # numpy's parser skips an empty line, so the row count tells
+        out = write_data(tmp_path, "feature\ts1\nA\t1\nB\t\nC\t2\n")
+        with pytest.raises(ParseError, match="line 3.*non-numeric cell ''"):
+            load_dataset(out)
+
     def test_ragged_row_names_its_line(self, tmp_path):
         out = write_data(tmp_path, "feature\ts1\ts2\nA\t1\t2\nB\t3\n")
         with pytest.raises(ParseError, match="line 3.*expected 3 cells, got 2"):

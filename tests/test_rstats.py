@@ -438,8 +438,9 @@ class TestWritePairwiseText:
         monkeypatch.setattr(rstats, "_pair_lines", _die_on_second_task)
         monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
         m, method, chunk = _pairwise_case("dense")
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ChildProcessError, match="pairwise text formatter") as exc:
             write_pairwise_text(m, io.StringIO(), method, chunk, threads=2)
+        assert isinstance(exc.value.__cause__, BrokenProcessPool)
         assert not multiprocessing.active_children()
 
     def test_one_thread_starts_no_pool(self, monkeypatch):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from rankmerge.errors import AlreadyScoredError
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
+from rankmerge.numerics import inv_norm_cdf
 from rankmerge.transform import (
     ecdf_score,
     midrank,
+    rank_rows,
     score_dataset,
     score_matrix,
     vdw_score,
@@ -188,6 +190,24 @@ class TestScoreMatrix:
         full = score_matrix(m, "vdw")
         sub = score_matrix(m.take_cols([1]), "vdw")
         assert np.array_equal(full.values[:, 1], sub.values[:, 0])
+
+    @pytest.mark.parametrize("shape", [(40, 5), (1, 3), (7, 1)])
+    def test_vdw_bitwise_equal_to_one_quantile_call(self, shape):
+        # the quantiles of all columns in one inv_norm_cdf call, as the
+        # scoring did before it went one column at a time
+        rng = np.random.default_rng(4)
+        vals = rng.integers(0, 6, size=shape).astype(float)
+        vals[rng.random(shape) < 0.2] = NA
+        vals[0] = 1.0  # every column keeps a value
+        ranks, _, n = rank_rows(vals.T)
+        p = ranks / (n + 1)[:, None]
+        present = ~np.isnan(p)
+        p[present] = inv_norm_cdf(p[present])
+        m = DataMatrix(tuple(f"g{i}" for i in range(shape[0])),
+                       tuple(f"s{j}" for j in range(shape[1])), vals)
+        got = score_matrix(m, "vdw").values
+        assert np.isnan(got).any() or shape == (1, 3)
+        assert got.tobytes() == np.ascontiguousarray(p.T).tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
