@@ -49,6 +49,7 @@ from .ingest import (
     parse_annotation,
     parse_series_matrix,
     save_dataset,
+    text_lines,
 )
 from .matrix import (
     Dataset,
@@ -154,8 +155,8 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+        raise ParseError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ParseError("config must be a JSON object")
     return cfg
@@ -180,10 +181,16 @@ def _partial_file(path: str | Path):
     os.replace(partial, final)
 
 
-def _save_dataset_atomic(ds: Dataset, path: str | Path) -> None:
+def _new_dir(path: str | Path) -> Path:
+    """``path``, refused if it exists (checked before reading any input)."""
     final = Path(path)
     if final.exists():
         raise _UsageError(f"output directory {final} already exists")
+    return final
+
+
+def _save_dataset_atomic(ds: Dataset, path: str | Path) -> None:
+    final = _new_dir(path)
     partial = final.with_name(final.name + ".partial")
     if partial.exists():
         shutil.rmtree(partial)
@@ -214,6 +221,7 @@ def _choice(value, allowed: dict, flag: str):
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace, opts: Options) -> int:
+    _new_dir(args.out)
     doc = parse_series_matrix(args.series)
     mapping = parse_annotation(args.annotation)
     policy = opts.get("multi_policy", "first")
@@ -232,6 +240,7 @@ def cmd_ingest(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_score(args: argparse.Namespace, opts: Options) -> int:
+    _new_dir(args.out)
     ds = load_dataset(args.dataset)
     out = score_dataset(ds, args.kind)
     _save_dataset_atomic(out, args.out)
@@ -243,6 +252,7 @@ def cmd_score(args: argparse.Namespace, opts: Options) -> int:
 def cmd_merge(args: argparse.Namespace, opts: Options) -> int:
     if len(args.datasets) < 2:
         raise _UsageError("merge needs at least two dataset directories")
+    _new_dir(args.out)
     dsets = [load_dataset(p) for p in args.datasets]
     merged = merge_datasets(dsets, name=opts.get("name"))
     _save_dataset_atomic(merged, args.out)
@@ -252,6 +262,7 @@ def cmd_merge(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_select(args: argparse.Namespace, opts: Options) -> int:
+    _new_dir(args.out)
     ds = load_dataset(args.dataset)
     mode = opts.get("mode", "substring")
     op = exclude_samples if args.invert else select_samples
@@ -266,17 +277,18 @@ def cmd_select(args: argparse.Namespace, opts: Options) -> int:
 
 
 def cmd_partition(args: argparse.Namespace, opts: Options) -> int:
-    ds = load_dataset(args.dataset)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s != ""]
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers, "
                           f"got {args.sizes!r}") from None
+    outs = [_new_dir(Path(args.out) / f"part{i}")
+            for i in range(1, len(sizes) + 1)]
+    ds = load_dataset(args.dataset)
     seed = opts.get_int("seed", 0)
     parts = random_partition(ds, sizes, seed)
-    out_root = Path(args.out)
-    for i, part in enumerate(parts, start=1):
-        _save_dataset_atomic(part, out_root / f"part{i}")
+    for part, out in zip(parts, outs):
+        _save_dataset_atomic(part, out)
     print(f"parts={len(parts)} sizes={','.join(str(s) for s in sizes)} "
           f"seed={seed}")
     return 0
@@ -367,10 +379,10 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
 
     adjusted = apply_fdr(results)
     ranked = rank_features(adjusted, by=rank_by)
+    sig = len(significant_features(ranked, alpha))
     with _partial_file(args.out) as fh:
         write_results_tsv(ranked, fh)
     tested = int(ranked.tested.sum())
-    sig = len(significant_features(ranked, alpha))
     print(f"features={len(ranked)} tested={tested} significant={sig} "
           f"threshold={alpha:g}")
     return 0
@@ -463,8 +475,7 @@ def cmd_enrich(args: argparse.Namespace, opts: Options) -> int:
     selected = set(significant_features(results, threshold).features)
 
     if args.universe is not None:
-        with open_text(args.universe) as fh:
-            universe = {line.strip() for line in fh if line.strip()}
+        universe = {s for s in map(str.strip, text_lines(args.universe)) if s}
     else:
         universe = set(results.features)
     if not universe:

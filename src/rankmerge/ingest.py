@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import tokenize
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
@@ -92,12 +93,13 @@ def open_text(path: str | Path):
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _lines(source):
+def text_lines(source):
     r"""The lines of a path or of a line iterable, without line ends.
 
     A file is read whole and split on "\n": universal newlines have
     turned "\r" and "\r\n" into "\n", and ``str.splitlines`` would also
-    split on U+2028, "\x1c" and others.
+    split on U+2028, "\x1c" and others.  Undecodable bytes are the
+    ParseError of :func:`open_text`.
     """
     if not isinstance(source, (str, Path)):
         yield from (raw.rstrip("\r\n") for raw in source)
@@ -112,7 +114,32 @@ def _lines(source):
             return
     if lines[-1] == "":
         lines.pop()
-    yield from lines
+    lines.reverse()  # let each line go once taken: readers keep copies
+    while lines:
+        yield lines.pop()
+
+
+def read_tab_table(source, prefix: str = ""):
+    """The header cells of a tab-separated table, and an iterator over
+    ``(lineno, line)`` for each non-empty line after the header.  A row
+    whose cell count is not the header's is a ParseError naming its line,
+    its message led by ``prefix``.  Rows are read on demand, so a caller
+    that checks the header first reports its fault before any row's.
+    """
+    lines = enumerate(text_lines(source), start=1)
+    header = next(lines, (1, ""))[1].split("\t")
+
+    def rows():
+        for lineno, line in lines:
+            if not line:
+                continue
+            n_cells = line.count("\t") + 1
+            if n_cells != len(header):
+                raise ParseError(f"{prefix}expected {len(header)} cells, "
+                                 f"got {n_cells}", lineno)
+            yield lineno, line
+
+    return header, rows()
 
 
 def parse_series_matrix(source) -> SeriesMatrixDocument:
@@ -150,7 +177,7 @@ def _scan_series_matrix(source, texts: list[str], linenos: list[int]):
     saw_end = False
     lineno = 0
 
-    for lineno, line in enumerate(_lines(source), start=1):
+    for lineno, line in enumerate(text_lines(source), start=1):
         if not in_table:
             if not line.strip():
                 continue
@@ -254,7 +281,7 @@ def parse_annotation(source) -> dict[str, tuple[str, ...]]:
     probe to no symbol.  Duplicate probe ids are an error.
     """
     mapping: dict[str, tuple[str, ...]] = {}
-    for lineno, line in enumerate(_lines(source), start=1):
+    for lineno, line in enumerate(text_lines(source), start=1):
         if not line.strip():
             continue
         n_cells = line.count("\t") + 1
@@ -403,28 +430,18 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 def _read_tsv(path: Path) -> tuple[list[str], list[str], list[str], list[int]]:
     """Header cells after the corner, then per row: name, the text after
     the name and the 1-based line number.  Blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if not header:
-            raise ParseError(f"{path.name}: empty file", 1)
-        cols = header.split("\t")[1:]
-        row_names: list[str] = []
-        texts: list[str] = []
-        linenos: list[int] = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            n_cells = line.count("\t") + 1
-            if n_cells != 1 + len(cols):
-                raise ParseError(
-                    f"{path.name}: expected {1 + len(cols)} cells, "
-                    f"got {n_cells}", lineno)
-            name, _, text = line.partition("\t")
-            row_names.append(name)
-            texts.append(text)
-            linenos.append(lineno)
-    return cols, row_names, texts, linenos
+    header, rows = read_tab_table(path, f"{path.name}: ")
+    if header == [""]:
+        raise ParseError(f"{path.name}: empty file", 1)
+    row_names: list[str] = []
+    texts: list[str] = []
+    linenos: list[int] = []
+    for lineno, line in rows:
+        name, _, text = line.partition("\t")
+        row_names.append(name)
+        texts.append(text)
+        linenos.append(lineno)
+    return header[1:], row_names, texts, linenos
 
 
 def _bulk_values(texts: list[str], n_cols: int, missing) -> np.ndarray | None:
@@ -489,15 +506,13 @@ def _read_v1_data(root: Path) -> DataMatrix:
 
 def _read_v2_data(root: Path, cols: tuple[str, ...]) -> DataMatrix:
     """features.txt and data.npy; the samples are the info.tsv columns."""
-    with open(root / FEATURES_FILE, encoding="utf-8") as fh:
-        features = fh.read().split("\n")
-    if features[-1] == "":
-        features.pop()
+    features = list(text_lines(root / FEATURES_FILE))
     try:
         # read_array, unlike np.load, never opens a zip archive
         with open(root / DATA_FILE, "rb") as fh:
             values = np.lib.format.read_array(fh, allow_pickle=False)
-    except (ValueError, EOFError, OSError) as exc:
+    except (ValueError, EOFError, OSError, SyntaxError, TypeError,
+            tokenize.TokenError) as exc:  # numpy's header parse raises each
         raise ParseError(f"{DATA_FILE}: cannot read: {exc}") from None
     if values.dtype.kind != "f" or values.dtype.itemsize != 8:
         raise ParseError(f"{DATA_FILE}: dtype {values.dtype} is not float64")
@@ -516,7 +531,7 @@ def _read_manifest(root: Path) -> dict:
     with open_text(manifest_path) as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ManifestError(f"{root}: malformed manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise ManifestError(f"{root}: manifest is not a JSON object")
@@ -559,5 +574,5 @@ def load_dataset(path: str | Path) -> Dataset:
                        seed=manifest.get("seed"))
     except ParseError:
         raise
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+    except ValueError as exc:  # empty or repeated names
         raise ParseError(f"{name}: {exc}") from None

@@ -21,10 +21,12 @@ with accuracy documented per function:
 * :func:`log_choose` -- log binomial coefficient via ``lgamma``.
 
 The two tails also come in array forms, :func:`norm_upper_tail_ln_array`
-and :func:`chi_sq_upper_tail_ln_array`, which run the same series and
-continued-fraction steps on every element in lockstep and return the
-scalar functions' bits.  The scalar forms stay as the one-value API and
-as the bitwise reference.
+and :func:`chi_sq_upper_tail_ln_array`, which return the scalar
+functions' bits.  The chi-square form runs the same series and
+continued-fraction steps on every element in lockstep; the normal form
+maps the scalar Mills-ratio series over its few elements beyond
+|z| = 8.  The scalar forms stay as the one-value API and as the bitwise
+reference.
 """
 
 from __future__ import annotations
@@ -251,24 +253,6 @@ def norm_upper_tail_ln(z: float) -> LogP:
     return LogP(_mills_series_ln(z))
 
 
-def _mills_series_ln_array(z: np.ndarray) -> np.ndarray:
-    """:func:`_mills_series_ln` of every element, the series run in
-    lockstep: an element stops taking terms where the scalar loop breaks."""
-    inv_zz = 1.0 / (z * z)
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    live = np.ones(z.shape, dtype=bool)
-    for k in range(1, 64):
-        nxt = -term * (2 * k - 1) * inv_zz
-        live &= np.abs(nxt) < np.abs(term)
-        term[live] = nxt[live]
-        total[live] += term[live]
-        live &= ~(np.abs(term) < 1e-17 * np.abs(total))
-        if not live.any():
-            break
-    return -0.5 * z * z - _each(math.log, z) - _LN_SQRT_2PI + _each(math.log, total)
-
-
 def norm_upper_tail_ln_array(z) -> np.ndarray:
     """ln P(Z >= z) of every element of a 1-d array, bit for bit what
     :func:`norm_upper_tail_ln` returns for each."""
@@ -280,7 +264,7 @@ def norm_upper_tail_ln_array(z) -> np.ndarray:
     out = np.empty_like(w)
     body = w <= _ASYMPTOTIC_Z
     out[body] = _each(math.log, 0.5 * _each(math.erfc, w[body] / math.sqrt(2.0)))
-    out[~body] = _mills_series_ln_array(w[~body])
+    out[~body] = _each(_mills_series_ln, w[~body])
     out = checked_ln_p(out)  # the scalar path's LogP of the tail at |z|
     out[neg] = _each(math.log1p, -_each(math.exp, out[neg]))
     return checked_ln_p(out)

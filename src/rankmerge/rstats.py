@@ -28,7 +28,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .errors import DegenerateDataError, ParseError
-from .ingest import open_text
+from .ingest import read_tab_table, text_lines
 from .matrix import (DataMatrix, Dataset, common_rows, exclude_samples,
                      median_column, select_samples)
 from .numerics import (
@@ -726,13 +726,9 @@ def parse_gmt(source) -> list[GeneSet]:
 
     Duplicate set names and symbol-less lines are rejected.
     """
-    if isinstance(source, (str, Path)):
-        with open_text(source) as fh:
-            return parse_gmt(fh)
     sets: list[GeneSet] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(source, start=1):
-        line = line.rstrip("\r\n")
+    for lineno, line in enumerate(text_lines(source), start=1):
         if not line:
             continue
         cells = line.split("\t")
@@ -740,6 +736,8 @@ def parse_gmt(source) -> list[GeneSet]:
             raise ParseError("gene set line needs name, description and "
                              "at least one symbol", lineno)
         name, description = cells[0], cells[1]
+        if not name:
+            raise ParseError("gene set line has an empty name", lineno)
         symbols = frozenset(s for s in cells[2:] if s)
         if not symbols:
             raise ParseError(f"gene set {name!r} has no symbols", lineno)
@@ -885,27 +883,14 @@ def read_results_tsv(source) -> ResultTable:
     Log p values are reconstructed from the log10 columns, which do not
     clamp, so round-tripping preserves deep tails.
     """
-    if isinstance(source, (str, Path)):
-        with open_text(source) as fh:
-            return read_results_tsv(fh)
-    header = source.readline().rstrip("\r\n").split("\t")
+    header, lines = read_tab_table(source)
     if tuple(header) != RESULT_COLUMNS:
         raise ParseError(f"unexpected result columns {header}", 1)
-    width = len(RESULT_COLUMNS)
-    rows, linenos = [], []
-    for lineno, line in enumerate(source.read().split("\n"), start=2):
-        line = line.rstrip("\r")
-        if not line:
-            continue
-        n_cells = line.count("\t") + 1
-        if n_cells != width:
-            raise ParseError(f"expected {width} columns, got {n_cells}", lineno)
-        rows.append(line)
-        linenos.append(lineno)
+    rows = list(lines)
     try:
-        return _table("\t".join(rows).split("\t") if rows else [])
+        return _table("\t".join(line for _, line in rows).split("\t") if rows else [])
     except ValueError:  # find the first bad row
-        for line, lineno in zip(rows, linenos):
+        for lineno, line in rows:
             try:
                 _table(line.split("\t"))
             except ValueError as exc:

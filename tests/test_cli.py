@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmerge import rstats
+from rankmerge import cli, rstats
 from rankmerge.cli import _partial_file, main
 from rankmerge.ingest import load_dataset, save_dataset
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
@@ -81,13 +81,38 @@ class TestIngestCommand:
         assert code == 0 and "features=1" in drop_out
         assert "multi_dropped=1" in drop_out
 
-    def test_existing_output_dir_refused(self, tmp_path, capsys):
+    def test_existing_output_dir_refused(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "ds").mkdir()
+        monkeypatch.setattr(cli, "parse_series_matrix", _not_called)
         code, _, stderr = run(capsys, "ingest",
                               FIXTURES / "series_small.txt",
                               FIXTURES / "annotation_small.tsv",
                               "--out", tmp_path / "ds")
         assert code == 1 and "already exists" in stderr
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("an input was read")
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "{ds}", "--kind", "vdw"],
+    ["merge", "{ds}", "{ds}"],
+    ["select", "{ds}", "--field", "grp", "--keyword", "a"],
+    ["partition", "{ds}", "--sizes", "2,1"],
+])
+def test_existing_output_refused_before_loading(tmp_path, capsys, monkeypatch,
+                                                argv):
+    """An existing --out (for partition, an existing partN) is refused
+    before any dataset is read, and nothing is written."""
+    ds = line_dataset(tmp_path)
+    out = tmp_path / "out"
+    (out / "part2" if argv[0] == "partition" else out).mkdir(parents=True)
+    monkeypatch.setattr(cli, "load_dataset", _not_called)
+    code, _, stderr = run(capsys, *[a.format(ds=ds) for a in argv], "--out", out)
+    assert code == 1 and "already exists" in stderr
+    assert sorted(p.name for p in out.iterdir()) == (
+        ["part2"] if argv[0] == "partition" else [])
 
 
 class TestScoreCommand:
@@ -381,6 +406,15 @@ class TestTestCommand:
                               "--keyword", "sel", "--config", cfg,
                               "--out", tmp_path / "o")
         assert code == 1 and "'regex'" in stderr
+
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys):
+        ds = two_group_dataset(tmp_path)
+        out = tmp_path / "kw.tsv"
+        code, _, stderr = run(capsys, "test", ds, "--test", "kw",
+                              "--field", "grp", "--fdr", "1.5", "--out", out)
+        assert code == 1 and "threshold must be in (0, 1)" in stderr
+        assert not out.exists()
+        assert not (tmp_path / "kw.tsv.partial").exists()
 
     def test_single_valued_field_degenerate(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "flat", ["X"], ["s1", "s2"], [[1.0, 2.0]],
@@ -704,6 +738,14 @@ class TestConfigAndPlumbing:
                               "nowhere", "--feature", "X")
         assert code == 2 and "object" in stderr
 
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100000)
+        code, _, stderr = run(capsys, "--config", cfg, "split-het",
+                              "nowhere", "--feature", "X")
+        assert code == 2 and "cfg.json" in stderr
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+
     def test_missing_config_file_exit_1(self, tmp_path, capsys):
         code, _, _ = run(capsys, "--config", tmp_path / "absent.json",
                          "split-het", "nowhere", "--feature", "X")
@@ -753,6 +795,8 @@ def _to_v1(root):
 @pytest.mark.parametrize("spoil", [
     pytest.param(lambda root: (root / "manifest.json").write_text("[1, 2]"),
                  id="json_list"),
+    pytest.param(lambda root: (root / "manifest.json").write_text("[" * 100000),
+                 id="json_nested_too_deeply"),
     pytest.param(lambda root: _edit_manifest(root, score="bogus"),
                  id="unknown_score"),
     pytest.param(lambda root: _edit_manifest(root, name=None),
@@ -767,7 +811,7 @@ def test_bad_dataset_directory_exit_2(tmp_path, capsys, spoil):
     spoil(Path(ds))
     code, _, stderr = run(capsys, "score", ds, "--kind", "vdw",
                           "--out", tmp_path / "out")
-    assert code == 2
+    assert code == 2 and ds in stderr
     assert stderr.startswith("error: ") and "Traceback" not in stderr
 
 
@@ -823,12 +867,16 @@ def _non_utf8_case(tmp_path, which):
         return ["--config", bad, "split-het", tmp_path / "nowhere",
                 "--feature", "X"], bad
     ds = Path(make_ds(tmp_path, "d", ["A", "B"], ["s1", "s2"], [[1, 2], [3, 4]]))
-    bad = _spoiled(tmp_path, ds / "manifest.json", (ds / "manifest.json").read_bytes())
+    if which == "data.tsv":
+        _to_v1(ds)
+    bad = ds / ("manifest.json" if which == "manifest" else which)
+    _spoiled(tmp_path, bad, bad.read_bytes())
     return ["score", ds, "--kind", "vdw", "--out", out], bad
 
 
 @pytest.mark.parametrize("which", ["series", "annotation", "results", "gmt",
-                                   "universe", "config", "manifest"])
+                                   "universe", "config", "manifest",
+                                   "info.tsv", "features.txt", "data.tsv"])
 def test_non_utf8_input_exit_2_naming_the_file(tmp_path, capsys, which):
     argv, bad = _non_utf8_case(tmp_path, which)
     code, _, stderr = run(capsys, *argv)

@@ -579,6 +579,13 @@ def _truncate(n_bytes):
     return cut
 
 
+def _replace_byte(offset, byte):
+    def patch(root):
+        body = (root / "data.npy").read_bytes()
+        (root / "data.npy").write_bytes(body[:offset] + bytes([byte]) + body[offset + 1:])
+    return patch
+
+
 def _append(name, text):
     def add(root):
         with open(root / name, "a", encoding="utf-8") as fh:
@@ -605,6 +612,10 @@ BAD_V2 = {
     "truncated_header": (_truncate(20), ParseError, "data.npy"),
     "empty_values": (_truncate(0), ParseError, "data.npy"),
     "zip_archive": (_npz, ParseError, "data.npy"),
+    # numpy's header parse raises tokenize.TokenError, SyntaxError or TypeError
+    "header_token_error": (_replace_byte(8, 1), ParseError, "data.npy"),
+    "header_syntax_error": (_replace_byte(21, 44), ParseError, "data.npy"),
+    "header_type_error": (_replace_byte(26, 66), ParseError, "data.npy"),
     "object_dtype": (_save_npy(np.array([[1.5, None], [2.0, "x"]], dtype=object),
                                allow_pickle=True), ParseError, "data.npy"),
     "int_dtype": (_save_npy(np.array([[1, 2], [3, 4]])), ParseError, "dtype int64"),
@@ -619,10 +630,10 @@ BAD_V2 = {
     "empty_feature_line": (_write_bytes("features.txt", b"\nMYC\n"), ParseError,
                            "features.txt: row names must be non-empty"),
     "features_not_utf8": (_write_bytes("features.txt", b"GATA3\nMY\xffC\n"),
-                          ParseError, "features.txt: .*utf-8"),
+                          ParseError, "features.txt: not UTF-8 text"),
     "info_not_utf8": (_write_bytes("info.tsv", b"field\ts1\ts2\n"
                                    b"disease\taml\tcontr\xffol\n"),
-                      ParseError, "info.tsv: .*utf-8"),
+                      ParseError, "info.tsv: not UTF-8 text"),
     "info_repeats_sample": (_write_bytes("info.tsv", b"field\ts1\ts1\n"
                                          b"disease\taml\tcontrol\n"),
                             ParseError, "info.tsv: duplicate column name"),

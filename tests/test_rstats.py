@@ -843,6 +843,10 @@ class TestParseGmt:
         with pytest.raises(ParseError, match="duplicate"):
             parse_gmt(io.StringIO("s\td\tA\ns\td\tB\n"))
 
+    def test_empty_name(self):
+        with pytest.raises(ParseError, match="line 2: gene set line has an empty name"):
+            parse_gmt(io.StringIO("s\td\tA\n\td\tB\n"))
+
     def test_empty_file(self):
         with pytest.raises(ParseError):
             parse_gmt(io.StringIO(""))
