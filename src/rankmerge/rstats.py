@@ -160,6 +160,10 @@ def pearson(x, y) -> float:
         raise ValueError("zero variance input")
     xm = xc - xc.mean()
     ym = yc - yc.mean()
+    # scaled to max |value| 1, the products neither underflow to a zero
+    # spread nor overflow to inf
+    xm /= np.abs(xm).max()
+    ym /= np.abs(ym).max()
     sx = math.sqrt(float(xm @ xm))
     sy = math.sqrt(float(ym @ ym))
     return float(xm @ ym) / (sx * sy)

@@ -751,6 +751,62 @@ class TestConfigAndPlumbing:
                          "split-het", "nowhere", "--feature", "X")
         assert code == 1
 
+    @pytest.mark.parametrize("key,value,command", [
+        ("seed", [1], "partition"),
+        ("seed", 1.7, "partition"),
+        ("seed", True, "partition"),
+        ("seed", "5", "partition"),
+        ("scale", "false", "pca"),
+        ("scale", 1, "pca"),
+        ("fdr", True, "test"),
+        ("method", ["pearson"], "median-cor"),
+        ("mode", ["exact"], "test"),
+    ])
+    def test_config_value_of_wrong_type_exit_1(self, tmp_path, capsys,
+                                               key, value, command):
+        ds = two_group_dataset(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = {
+            "partition": ["--sizes", "6,6", "--out", tmp_path / "p"],
+            "pca": ["--features", "g1,g2", "--out-svg", tmp_path / "p.svg"],
+            "test": ["--test", "kw", "--field", "grp", "--out", tmp_path / "t"],
+            "median-cor": [ds, "--out", tmp_path / "m.tsv"],
+        }[command]
+        code, stdout, stderr = run(capsys, "--config", cfg, command, ds, *argv)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: config key {key!r} must be ")
+        assert "Traceback" not in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                              "grouped"]
+
+    def test_integral_float_seed_accepted(self, tmp_path, capsys):
+        ds = TestPartitionCommand().base(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5.0}))
+        code, stdout, _ = run(capsys, "--config", cfg, "partition", ds,
+                              "--sizes", "3,3", "--out", tmp_path / "p")
+        assert code == 0 and "seed=5\n" in stdout
+        assert load_dataset(tmp_path / "p" / "part1").seed == 5
+
+    def test_config_scale_is_a_boolean(self, tmp_path, capsys):
+        ds = two_group_dataset(tmp_path)
+
+        def pca_tsv(name, *extra):
+            tsv = tmp_path / f"{name}.tsv"
+            code, _, _ = run(capsys, "pca", ds, "--features", "g1,g2,g4",
+                             "--out-svg", tmp_path / f"{name}.svg",
+                             "--out-tsv", tsv, *extra)
+            assert code == 0
+            return tsv.read_text()
+
+        for value in (False, True):
+            cfg = tmp_path / f"{value}.json"
+            cfg.write_text(json.dumps({"pca": {"scale": value}}))
+            flag = pca_tsv(f"flag{value}", *(["--scale"] if value else []))
+            assert pca_tsv(f"cfg{value}", "--config", cfg) == flag
+        assert pca_tsv("x", "--scale") != pca_tsv("y")
+
     def test_partial_file_removed_on_failure(self, tmp_path):
         target = tmp_path / "out.tsv"
         with pytest.raises(RuntimeError):

@@ -88,6 +88,32 @@ class TestPearson:
         x, y = rng.normal(size=(2, 50))
         assert pearson(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-12)
 
+    @staticmethod
+    def exact_r(x, y) -> float:
+        """r from exact rational sums: r squared exactly, then the sign."""
+        x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        mx, my = sum(x) / len(x), sum(y) / len(y)
+        sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+        sxx = sum((a - mx) ** 2 for a in x)
+        syy = sum((b - my) ** 2 for b in y)
+        return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param([1e-200, 0, 0], id="spread_underflows"),
+        pytest.param([1e160, -1e160, 0], id="products_overflow"),
+    ])
+    def test_extreme_magnitudes_match_exact_oracle(self, x):
+        y = [1, 2, 3]
+        assert self.exact_r(x, y) != 0
+        assert pearson(x, y) == pytest.approx(self.exact_r(x, y), rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_any_magnitude_matches_exact_oracle(self, scale):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 20))
+        x *= scale
+        assert pearson(x, y) == pytest.approx(self.exact_r(x, y), rel=1e-14)
+
 
 class TestSpearman:
     def test_monotone_invariance_exact(self):
