@@ -441,13 +441,12 @@ def _feature_list(args: argparse.Namespace, opts: Options) -> list[str]:
             raise _UsageError("--features lists no symbols")
         return out
     top = opts.get_int("top", 0)
+    if top < 1:
+        raise _UsageError("--top must be positive")
     results_path = opts.get_str("results")
     if results_path is None:
         raise _UsageError("--top needs --results (a ranked results table)")
-    ranked = read_results_tsv(results_path)
-    if top < 1:
-        raise _UsageError("--top must be positive")
-    return list(ranked.features[:top])
+    return list(read_results_tsv(results_path).features[:top])
 
 
 def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
@@ -526,6 +525,7 @@ def cmd_enrich(args: argparse.Namespace, opts: Options) -> int:
 
     gene_sets = parse_gmt(args.gmt)
     rows = enrich_genesets(selected, universe, gene_sets)
+    n_selected = len(selected & universe)
     adjusted = benjamini_yekutieli([p for _, _, _, p in rows])
     raw_cells = p_cells(np.array([p.ln_p for _, _, _, p in rows]))
     adj_cells = p_cells(np.array([p.ln_p for p in adjusted]))
@@ -534,10 +534,10 @@ def cmd_enrich(args: argparse.Namespace, opts: Options) -> int:
                  "p_raw\tlog10_p_raw\tp_adj\tlog10_p_adj\n")
         for (gs, size, overlap, _), *cells in zip(rows, *raw_cells, *adj_cells):
             fh.write("\t".join([
-                gs.name, str(size), str(overlap), str(len(selected & universe)),
+                gs.name, str(size), str(overlap), str(n_selected),
                 str(len(universe)), *cells,
             ]) + "\n")
-    print(f"sets={len(rows)} selected={len(selected & universe)} "
+    print(f"sets={len(rows)} selected={n_selected} "
           f"universe={len(universe)}")
     return 0
 

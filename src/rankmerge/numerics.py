@@ -20,13 +20,14 @@ with accuracy documented per function:
   whose linear tail underflows.
 * :func:`log_choose` -- log binomial coefficient via ``lgamma``.
 
-The two tails also come in array forms, :func:`norm_upper_tail_ln_array`
-and :func:`chi_sq_upper_tail_ln_array`, which return the scalar
-functions' bits.  The chi-square form runs the same series and
-continued-fraction steps on every element in lockstep; the normal form
-maps the scalar Mills-ratio series over its few elements beyond
-|z| = 8.  The scalar forms stay as the one-value API and as the bitwise
-reference.
+Each tail has one implementation, an array form:
+:func:`norm_upper_tail_ln_array` and :func:`chi_sq_upper_tail_ln_array`.
+The chi-square form runs the gamma series and the continued fraction on
+every element in lockstep; the normal form maps the Mills-ratio series
+over its few elements beyond |z| = 8.  The scalar forms are the one-value
+API, a one-element call of the array form.  The per-value code that the
+array forms replaced is kept in ``tests/test_tail_reference.py``, and
+the array forms must return its bits.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ def checked_ln_p(ln_p) -> np.ndarray:
 
 
 def _each(f, x: np.ndarray) -> np.ndarray:
-    """``f`` from ``math`` applied to every element, with the scalar
-    path's rounding (numpy's own transcendentals may differ by an ulp)."""
+    """``f`` from ``math`` applied to every element, with the rounding
+    of the per-value reference (numpy's own transcendentals may differ
+    by an ulp)."""
     return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
 
 
@@ -241,21 +243,13 @@ def norm_upper_tail_ln(z: float) -> LogP:
     the asymptotic series takes over, keeping the log exact to ~1e-12
     relative out past z = 40 (where the linear tail is ~1e-350).
     """
-    z = float(z)
-    if math.isnan(z):
-        raise ValueError("z must not be NaN")
-    if z < 0.0:
-        # P(Z >= z) = 1 - P(Z >= -z); the complement is <= 0.5 so the
-        # subtraction costs at most one bit.
-        return LogP(math.log1p(-math.exp(norm_upper_tail_ln(-z).ln_p)))
-    if z <= _ASYMPTOTIC_Z:
-        return LogP(math.log(0.5 * math.erfc(z / math.sqrt(2.0))))
-    return LogP(_mills_series_ln(z))
+    return LogP(norm_upper_tail_ln_array([float(z)])[0].item())
 
 
 def norm_upper_tail_ln_array(z) -> np.ndarray:
-    """ln P(Z >= z) of every element of a 1-d array, bit for bit what
-    :func:`norm_upper_tail_ln` returns for each."""
+    """:func:`norm_upper_tail_ln` of every element of a 1-d array.  A
+    negative z takes the complement of the tail at -z, which is <= 0.5,
+    so the subtraction costs at most one bit."""
     z = np.asarray(z, dtype=float)
     if np.isnan(z).any():
         raise ValueError("z must not be NaN")
@@ -265,7 +259,7 @@ def norm_upper_tail_ln_array(z) -> np.ndarray:
     body = w <= _ASYMPTOTIC_Z
     out[body] = _each(math.log, 0.5 * _each(math.erfc, w[body] / math.sqrt(2.0)))
     out[~body] = _each(_mills_series_ln, w[~body])
-    out = checked_ln_p(out)  # the scalar path's LogP of the tail at |z|
+    out = checked_ln_p(out)  # the tail at |z| as a LogP
     out[neg] = _each(math.log1p, -_each(math.exp, out[neg]))
     return checked_ln_p(out)
 
@@ -273,49 +267,6 @@ def norm_upper_tail_ln_array(z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chi-square upper tail, log domain
 # ---------------------------------------------------------------------------
-
-def _reg_gamma_lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by its power series."""
-    term = 1.0 / a
-    total = term
-    n = 0
-    while True:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        if n > 10000:
-            raise ArithmeticError("lower gamma series failed to converge")
-
-
-def _reg_gamma_upper_cf_ln(a: float, x: float) -> float:
-    """ln Q(a, x) via the modified Lentz continued fraction.
-
-    Q(a, x) = exp(-x + a ln x - lgamma(a)) * CF; the fraction itself is
-    O(1/x) so only the prefactor lives in the log domain.
-    """
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return -x + a * math.log(x) - math.lgamma(a) + math.log(h)
-    raise ArithmeticError("upper gamma continued fraction failed to converge")
-
 
 def chi_sq_upper_tail_ln(x: float, df: int) -> LogP:
     """ln P(X >= x) for X chi-square with ``df`` degrees of freedom.
@@ -325,23 +276,13 @@ def chi_sq_upper_tail_ln(x: float, df: int) -> LogP:
     accurate (relative error of the log below ~1e-12) for x up to a few
     thousand, where the linear tail is around 1e-650.
     """
-    if not isinstance(df, (int, np.integer)) or df < 1:
-        raise ValueError(f"df must be a positive integer, got {df!r}")
-    x = float(x)
-    if math.isnan(x) or x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    a = 0.5 * df
-    xg = 0.5 * x
-    if xg == 0.0:  # x = 0, or so small that x / 2 underflows
-        return P_ONE
-    if x < df + 1.0:
-        return LogP(math.log1p(-_reg_gamma_lower_series(a, xg)))
-    return LogP(min(_reg_gamma_upper_cf_ln(a, xg), 0.0))
+    return LogP(chi_sq_upper_tail_ln_array([float(x)], df)[0].item())
 
 
 def _reg_gamma_lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    """:func:`_reg_gamma_lower_series` of every element: the series runs
-    in lockstep and each element leaves it at its own stopping term."""
+    """Regularized lower incomplete gamma P(a, x) of every element by its
+    power series, run in lockstep: each element leaves it at its own
+    stopping term."""
     out = np.empty_like(x)
     idx = np.arange(x.size)
     xs = x
@@ -361,8 +302,13 @@ def _reg_gamma_lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _reg_gamma_upper_cf_ln_array(a: float, x: np.ndarray) -> np.ndarray:
-    """:func:`_reg_gamma_upper_cf_ln` of every element, the Lentz steps
-    run in lockstep until each element's own delta converges."""
+    """ln Q(a, x) of every element via the modified Lentz continued
+    fraction, its steps run in lockstep until each element's own delta
+    converges.
+
+    Q(a, x) = exp(-x + a ln x - lgamma(a)) * CF; the fraction itself is
+    O(1/x) so only the prefactor lives in the log domain.
+    """
     tiny = 1e-300
     out = np.empty_like(x)
     idx = np.arange(x.size)
@@ -391,8 +337,8 @@ def _reg_gamma_upper_cf_ln_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def chi_sq_upper_tail_ln_array(x, df: int) -> np.ndarray:
-    """ln P(X >= x) of every element of a 1-d array, bit for bit what
-    :func:`chi_sq_upper_tail_ln` returns for each."""
+    """:func:`chi_sq_upper_tail_ln` of every element of a 1-d array.  An
+    x whose half underflows to 0 has ln p = 0."""
     if not isinstance(df, (int, np.integer)) or df < 1:
         raise ValueError(f"df must be a positive integer, got {df!r}")
     x = np.asarray(x, dtype=float)

@@ -374,10 +374,14 @@ def _block_correlations(vals: np.ndarray):
     is constant over them exactly when cnt * sum(h^2) == (sum h)^2 for
     the integers h = 2 x midrank.  Those sums are exact while they stay
     below 2^53: up to 9,065 columns, beyond which this is a ValueError.
+    Each row is first scaled by the power of two that brings its largest
+    |value| into [0.5, 1), so products neither overflow nor underflow;
+    being exact, the scaling moves no bit of r otherwise.
     """
     missing = np.isnan(vals)
     present = (~missing).astype(float)
     z = np.where(missing, 0.0, vals)
+    z = np.ldexp(z, -np.frexp(np.abs(z).max(axis=1, keepdims=True))[1])
     z = np.where(missing, 0.0, z - z.sum(axis=1, keepdims=True)
                  / np.maximum(present.sum(axis=1, keepdims=True), 1.0))
     if not missing.any():

@@ -549,6 +549,14 @@ class TestPcaCommand:
                               "--out-svg", tmp_path / "p.svg")
         assert code == 1 and "exactly one" in stderr
 
+    def test_top_checked_before_the_results_are_read(self, tmp_path, capsys):
+        ds = line_dataset(tmp_path)
+        code, _, stderr = run(capsys, "pca", ds, "--top", "0",
+                              "--results", tmp_path / "missing.tsv",
+                              "--out-svg", tmp_path / "p.svg")
+        assert code == 1 and "--top must be positive" in stderr
+        assert "Errno" not in stderr
+
     def test_multi_dataset_labels_are_names(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
         rows = ["X", "Y", "Z"]

@@ -1,5 +1,5 @@
 """Tail functions and BY against scipy, and the array tails against the
-scalar ones bit for bit.
+per-value reference tails of ``test_tail_reference`` bit for bit.
 
 scipy is a test-only oracle: every test that needs it skips without it.
 The bounds below were set from measurements over these strategies and
@@ -21,6 +21,7 @@ from rankmerge.numerics import (
     norm_upper_tail_ln_array,
 )
 from rankmerge.rstats import ResultTable, apply_fdr, benjamini_yekutieli, fisher_enrichment
+from test_tail_reference import ref_chi_sq_upper_tail_ln, ref_norm_upper_tail_ln
 
 stats = pytest.importorskip("scipy.stats")
 
@@ -150,7 +151,7 @@ def test_apply_fdr_table_matches_scipy():
 
 
 # ---------------------------------------------------------------------------
-# array tails == scalar tails, bit for bit
+# array tails == reference tails, bit for bit
 # ---------------------------------------------------------------------------
 
 def chi_edges():
@@ -167,7 +168,7 @@ def chi_edges():
 @pytest.mark.parametrize("df", range(1, 11))
 def test_chi_square_array_edges_bitwise(df):
     x = np.array(chi_edges())
-    want = [chi_sq_upper_tail_ln(v, df).ln_p for v in x.tolist()]
+    want = [ref_chi_sq_upper_tail_ln(v, df).ln_p for v in x.tolist()]
     assert np.array_equal(bits(chi_sq_upper_tail_ln_array(x, df)), bits(want))
 
 
@@ -176,7 +177,7 @@ def test_chi_square_array_edges_bitwise(df):
        xs=st.lists(st.one_of(st.floats(0.0, 3000.0, **finite),
                              st.floats(0.0, 12.0, **finite)), max_size=60))
 def test_chi_square_array_bitwise(df, xs):
-    want = [chi_sq_upper_tail_ln(v, df).ln_p for v in xs]
+    want = [ref_chi_sq_upper_tail_ln(v, df).ln_p for v in xs]
     assert np.array_equal(bits(chi_sq_upper_tail_ln_array(np.array(xs, dtype=float), df)),
                           bits(want))
 
@@ -188,7 +189,7 @@ NORM_EDGES = [0.0, -0.0, 8.0, -8.0, float(np.nextafter(8.0, 9.0)),
 
 
 def test_normal_array_edges_bitwise():
-    want = [norm_upper_tail_ln(v).ln_p for v in NORM_EDGES]
+    want = [ref_norm_upper_tail_ln(v).ln_p for v in NORM_EDGES]
     assert np.array_equal(bits(norm_upper_tail_ln_array(np.array(NORM_EDGES))), bits(want))
 
 
@@ -197,7 +198,7 @@ def test_normal_array_edges_bitwise():
                              st.floats(-9.0, 9.0, **finite),
                              st.floats(7.5, 8.5, **finite)), max_size=60))
 def test_normal_array_bitwise(zs):
-    want = [norm_upper_tail_ln(v).ln_p for v in zs]
+    want = [ref_norm_upper_tail_ln(v).ln_p for v in zs]
     assert np.array_equal(bits(norm_upper_tail_ln_array(np.array(zs, dtype=float))),
                           bits(want))
 

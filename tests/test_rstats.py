@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmerge import rstats
 from rankmerge.errors import DegenerateDataError, ParseError
@@ -57,6 +59,19 @@ def make_dataset(rows, cols, values, fields=(), cells=(), name="ds"):
 # correlations
 # ---------------------------------------------------------------------------
 
+def exact_r(x, y) -> float:
+    """r over the complete pairs from exact rational sums: r squared
+    exactly, then the sign."""
+    pairs = [(Fraction(a), Fraction(b)) for a, b in zip(x, y)
+             if not (math.isnan(a) or math.isnan(b))]
+    x, y = [a for a, _ in pairs], [b for _, b in pairs]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxx = sum((a - mx) ** 2 for a in x)
+    syy = sum((b - my) ** 2 for b in y)
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
 class TestPearson:
     def test_identity(self):
         assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
@@ -88,31 +103,21 @@ class TestPearson:
         x, y = rng.normal(size=(2, 50))
         assert pearson(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-12)
 
-    @staticmethod
-    def exact_r(x, y) -> float:
-        """r from exact rational sums: r squared exactly, then the sign."""
-        x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
-        mx, my = sum(x) / len(x), sum(y) / len(y)
-        sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-        sxx = sum((a - mx) ** 2 for a in x)
-        syy = sum((b - my) ** 2 for b in y)
-        return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
-
     @pytest.mark.parametrize("x", [
         pytest.param([1e-200, 0, 0], id="spread_underflows"),
         pytest.param([1e160, -1e160, 0], id="products_overflow"),
     ])
     def test_extreme_magnitudes_match_exact_oracle(self, x):
         y = [1, 2, 3]
-        assert self.exact_r(x, y) != 0
-        assert pearson(x, y) == pytest.approx(self.exact_r(x, y), rel=1e-15)
+        assert exact_r(x, y) != 0
+        assert pearson(x, y) == pytest.approx(exact_r(x, y), rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
     def test_any_magnitude_matches_exact_oracle(self, scale):
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=(2, 20))
         x *= scale
-        assert pearson(x, y) == pytest.approx(self.exact_r(x, y), rel=1e-14)
+        assert pearson(x, y) == pytest.approx(exact_r(x, y), rel=1e-14)
 
 
 class TestSpearman:
@@ -336,6 +341,47 @@ class TestPairwise:
         m = dm(["a", "b", "c"], [f"c{j}" for j in range(9066)], vals)
         with pytest.raises(ValueError, match="9,065"):
             collect_pairs(m)
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["dense", "missing"])
+    @pytest.mark.parametrize("x", [
+        pytest.param([1e160, -1e160, 0], id="products_overflow"),
+        pytest.param([1e-170, -1e-170, 0], id="products_underflow"),
+    ])
+    def test_extreme_magnitudes_match_exact_oracle(self, x, missing):
+        rows = [x + [NA], [1, 2, 3, 4]] if missing else [x, [1, 2, 3]]
+        m = dm(["a", "b"], [f"c{j}" for j in range(len(rows[0]))], rows)
+        want = exact_r(*rows)
+        got, _ = collect_pairs(m)
+        buf = io.StringIO()
+        write_pairwise_text(m, buf)
+        assert got[0][2] == pytest.approx(want, rel=1e-15)
+        assert buf.getvalue() == f"a\tb\t{got[0][2]!r}\n"
+
+    @pytest.mark.parametrize("method, scalar",
+                             [("pearson", pearson), ("spearman", spearman)])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_engine_agrees_with_scalar_function_at_any_magnitude(self, method,
+                                                                 scalar, data):
+        # each row: integers (ties likely) times one power of two
+        n_cols = data.draw(st.integers(3, 12))
+        ints = st.lists(st.one_of(st.integers(-1000, 1000), st.integers(-2, 2)),
+                        min_size=n_cols, max_size=n_cols)
+        vals = np.array([np.ldexp(np.array(data.draw(ints), dtype=float),
+                                  data.draw(st.integers(-1000, 1000)))
+                         for _ in range(data.draw(st.integers(2, 5)))])
+        names = [f"r{i}" for i in range(len(vals))]
+        got, _ = collect_pairs(dm(names, [f"c{j}" for j in range(n_cols)], vals),
+                               method=method)
+        want = []
+        for i, j in combinations(range(len(vals)), 2):
+            try:
+                want.append((names[i], names[j], scalar(vals[i], vals[j])))
+            except ValueError:
+                pass
+        assert [p[:2] for p in got] == [p[:2] for p in want]
+        for g, w in zip(got, want):
+            assert abs(g[2] - w[2]) <= 1e-12
 
     @pytest.mark.parametrize("missing", [False, True])
     def test_memory_holds_one_block(self, missing):
