@@ -3,13 +3,17 @@
 Commands: ingest, score, merge, select, partition, median-cor,
 pairwise, test, pca, factor-plot, enrich, split-het.
 
-Flags are long-form only.  A JSON config file (--config) may supply
-defaults: top-level keys apply to every command, a key named after a
-command holds per-command overrides, and explicit flags beat both.
---seed, --threads and --config are accepted before or after the
-command name.  --threads N formats the text of pairwise in N worker
-processes (other commands ignore it); the output bytes are the same for
-any N.
+Flags are long-form only.  Each option's type, choices and default are
+declared once, in its ``add_argument`` call in ``_build_parser``.  A JSON
+config file (--config) may supply option values: ``_resolve_options``
+fills each optional flag the command line left out from the command's
+section (a top-level key named after the command), else the top-level
+key, else the declared default, and refuses a config value that does
+not match the declaration before the command runs.  Positional and
+required arguments come from the command line only.  --seed, --threads
+and --config are accepted before or after the command name.  --threads N
+formats the text of pairwise in N worker processes (other commands
+ignore it); the output bytes are the same for any N.
 
 Exit codes: 0 success, 1 usage or generic data error, 2 input parse
 error, 3 annotation failure, 4 dataset already scored, 5 no common
@@ -33,6 +37,7 @@ garbage stays collectable.  Neither changes any output or exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import gc
 import json
@@ -133,49 +138,69 @@ class _Parser(argparse.ArgumentParser):
 # option resolution (flags > per-command config > top-level config > default)
 # ---------------------------------------------------------------------------
 
-class Options:
-    def __init__(self, ns: argparse.Namespace, config: dict, command: str):
-        self._ns = ns
-        self._config = config
-        self._command = command
+def _suppress_defaults(commands: dict[str, _Parser]) -> None:
+    """Move each optional flag's declared default to ``action.declared``.
 
-    def get(self, key: str, default=None):
-        if hasattr(self._ns, key):
-            return getattr(self._ns, key)
-        section = self._config.get(self._command)
-        if isinstance(section, dict) and key in section:
-            return section[key]
-        value = self._config.get(key)
-        if value is not None and not isinstance(value, dict):
-            return value
-        return default
+    argparse copies every default of the command's parser over the
+    namespace, flags given before the command name included, so options
+    stay out of the namespace until ``_resolve_options`` fills them.  The
+    --seed and --threads actions are shared by every parser and moved
+    once; --config is declared suppressed and never resolved.  The
+    default is added to the flag's help text."""
+    for command in commands.values():
+        for action in command._actions:
+            if (action.option_strings and not action.required
+                    and action.default is not argparse.SUPPRESS):
+                action.declared, action.default = action.default, argparse.SUPPRESS
+                if action.declared is not None:
+                    action.help = (f"{action.help or ''} "
+                                   f"(default: {action.declared})").lstrip()
 
-    # Flags arrive typed from argparse; a config value must be a JSON
-    # value of the option's type, never a string to convert or a bool
-    # read as 0 or 1.
-    def _typed(self, key: str, default, what: str, ok):
-        value = self.get(key, default)
-        if not ok(value):
-            raise _UsageError(f"config key {key!r} must be {what}, "
-                              f"got {value!r}")
-        return value
 
-    def get_int(self, key: str, default: int) -> int:
-        return int(self._typed(key, default, "an integer",
-                               lambda v: _number(v) is not None
-                               and _number(v).is_integer()))
+def _resolve_options(args: argparse.Namespace, config: dict,
+                     command: _Parser) -> None:
+    """Fill each optional flag the command line left out: the command's
+    config section, else the top-level key, else the declared default.
+    A top-level dict is always a command section, never a value."""
+    section = config.get(args.command)
+    section = section if isinstance(section, dict) else {}
+    for action in command._actions:
+        key = action.dest
+        if not hasattr(action, "declared") or hasattr(args, key):
+            continue
+        if key in section:
+            value = _config_value(action, section[key])
+        elif key in config and not isinstance(config[key], dict):
+            value = _config_value(action, config[key])
+        else:
+            value = action.declared
+        setattr(args, key, value)
 
-    def get_float(self, key: str, default: float) -> float:
-        return float(self._typed(key, default, "a number",
-                                 lambda v: _number(v) is not None))
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self._typed(key, default, "a string",
-                           lambda v: v is default or isinstance(v, str))
+def _config_value(action: argparse.Action, value):
+    """``value`` checked against its option's declaration.
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        return self._typed(key, default, "true or false",
-                           lambda v: isinstance(v, bool))
+    Flags arrive typed from argparse; a config value must be a JSON value
+    of the option's type, never a string to convert or a bool read as 0
+    or 1, and one of its choices.  null is accepted where the declared
+    default is none."""
+    if value is None and action.declared is None:
+        return None
+    number = _number(value)
+    if action.nargs == 0:
+        what, ok = "true or false", isinstance(value, bool)
+    elif action.type is int:
+        what, ok = "an integer", number is not None and number.is_integer()
+    elif action.type is float:
+        what, ok = "a number", number is not None
+    else:
+        what, ok = "a string", isinstance(value, str)
+    if ok and action.choices is not None and value not in action.choices:
+        what, ok = f"one of {', '.join(action.choices)}", False
+    if not ok:
+        raise _UsageError(f"config key {action.dest!r} must be {what}, "
+                          f"got {value!r}")
+    return value if action.type is None else action.type(value)
 
 
 def _number(value) -> float | None:
@@ -251,26 +276,40 @@ def _check_features(symbols, available) -> None:
             raise _UnknownFeatureError(s, available)
 
 
-def _choice(value, allowed: dict, flag: str):
-    if value not in allowed:
-        raise _UsageError(f"{flag} must be one of "
-                          f"{', '.join(allowed)}; got {value!r}")
-    return allowed[value]
+def _median_profiles(dsets: list[Dataset]):
+    """The features common to ``dsets`` and each dataset's median over them."""
+    features = common_rows([d.data for d in dsets])
+    return features, [median_column(d.data.take_rows(features)) for d in dsets]
+
+
+def _write_plot(args: argparse.Namespace, rows, axes: tuple[str, str],
+                title: str, header: str) -> None:
+    """Plot ``rows`` of (name, x, y[, label]) to --out-svg, each point
+    labelled by its label, else its name; then write the rows under
+    ``header`` to --out-tsv when it is given."""
+    spec = build_plot_spec([(x, y, label[0] if label else name)
+                            for name, x, y, *label in rows], *axes, title)
+    with _partial_file(args.out_svg) as fh:
+        fh.write(render_svg(spec))
+    if args.out_tsv is not None:
+        with _partial_file(args.out_tsv) as fh:
+            fh.write(header + "\n")
+            for name, x, y, *label in rows:
+                fh.write("\t".join([name, f"{x:.6g}", f"{y:.6g}", *label])
+                         + "\n")
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args: argparse.Namespace, opts: Options) -> int:
+def cmd_ingest(args: argparse.Namespace) -> int:
     _new_dir(args.out)
     doc = parse_series_matrix(args.series)
     mapping = parse_annotation(args.annotation)
-    policy = opts.get_str("multi_policy", "first")
-    result = annotate(doc, mapping, policy)
+    result = annotate(doc, mapping, args.multi_policy)
     reduced, all_missing = reduce_duplicates(result.data)
-    name = opts.get_str("name") or Path(args.series).stem
-    ds = Dataset(reduced, result.info, name=name,
+    ds = Dataset(reduced, result.info, name=args.name or Path(args.series).stem,
                  source=Path(args.series).name)
     _save_dataset_atomic(ds, args.out)
     collapsed = result.data.n_rows - reduced.n_rows - len(all_missing)
@@ -281,7 +320,7 @@ def cmd_ingest(args: argparse.Namespace, opts: Options) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace, opts: Options) -> int:
+def cmd_score(args: argparse.Namespace) -> int:
     _new_dir(args.out)
     ds = load_dataset(args.dataset)
     out = score_dataset(ds, args.kind)
@@ -291,34 +330,31 @@ def cmd_score(args: argparse.Namespace, opts: Options) -> int:
     return 0
 
 
-def cmd_merge(args: argparse.Namespace, opts: Options) -> int:
+def cmd_merge(args: argparse.Namespace) -> int:
     if len(args.datasets) < 2:
         raise _UsageError("merge needs at least two dataset directories")
     _new_dir(args.out)
     dsets = [load_dataset(p) for p in args.datasets]
-    merged = merge_datasets(dsets, name=opts.get_str("name"))
+    merged = merge_datasets(dsets, name=args.name)
     _save_dataset_atomic(merged, args.out)
     print(f"merged datasets={len(dsets)} features={merged.data.n_rows} "
           f"samples={merged.n_samples}")
     return 0
 
 
-def cmd_select(args: argparse.Namespace, opts: Options) -> int:
+def cmd_select(args: argparse.Namespace) -> int:
     _new_dir(args.out)
     ds = load_dataset(args.dataset)
-    mode = opts.get_str("mode", "substring")
     op = exclude_samples if args.invert else select_samples
-    out = op(ds, args.field, args.keyword, mode)
-    name = opts.get_str("name")
-    if name:
-        out = Dataset(out.data, out.info, name=name, score=out.score,
-                      source=out.source, seed=out.seed)
+    out = op(ds, args.field, args.keyword, args.mode)
+    if args.name:
+        out = dataclasses.replace(out, name=args.name)
     _save_dataset_atomic(out, args.out)
     print(f"selected samples={out.n_samples} of {ds.n_samples}")
     return 0
 
 
-def cmd_partition(args: argparse.Namespace, opts: Options) -> int:
+def cmd_partition(args: argparse.Namespace) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s != ""]
     except ValueError:
@@ -327,26 +363,23 @@ def cmd_partition(args: argparse.Namespace, opts: Options) -> int:
     outs = [_new_dir(Path(args.out) / f"part{i}")
             for i in range(1, len(sizes) + 1)]
     ds = load_dataset(args.dataset)
-    seed = opts.get_int("seed", 0)
-    parts = random_partition(ds, sizes, seed)
+    parts = random_partition(ds, sizes, args.seed)
     for part, out in zip(parts, outs):
         _save_dataset_atomic(part, out)
     print(f"parts={len(parts)} sizes={','.join(str(s) for s in sizes)} "
-          f"seed={seed}")
+          f"seed={args.seed}")
     return 0
 
 
-def cmd_median_cor(args: argparse.Namespace, opts: Options) -> int:
+def cmd_median_cor(args: argparse.Namespace) -> int:
     dsets = [load_dataset(p) for p in args.datasets]
-    method = opts.get_str("method", "pearson")
-    features = common_rows([d.data for d in dsets])
-    medians = [median_column(d.data.take_rows(features)) for d in dsets]
+    features, medians = _median_profiles(dsets)
     k = len(dsets)
     corr = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
             corr[i, j] = corr[j, i] = median_correlation(
-                medians[i], medians[j], method)
+                medians[i], medians[j], args.method)
     names = [d.name for d in dsets]
     n = len(features)
     with _partial_file(args.out) as fh:
@@ -361,32 +394,28 @@ def cmd_median_cor(args: argparse.Namespace, opts: Options) -> int:
         else:
             fh.write(f"# common_rows={n} threshold=NA "
                      f"(needs at least 10 common rows)\n")
-    print(f"datasets={k} common_rows={n} method={method}")
+    print(f"datasets={k} common_rows={n} method={args.method}")
     return 0
 
 
-def cmd_pairwise(args: argparse.Namespace, opts: Options) -> int:
+def cmd_pairwise(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
-    method = opts.get_str("method", "pearson")
-    chunk = opts.get_int("chunk", 256)
-    threads = opts.get_int("threads", 1)
     with _partial_file(args.out) as fh:
-        result = write_pairwise_text(ds.data, fh, method=method, chunk=chunk,
-                                     threads=threads)
+        result = write_pairwise_text(ds.data, fh, method=args.method,
+                                     chunk=args.chunk, threads=args.threads)
     print(f"pairs={result.emitted} skipped={result.skipped}")
     return 0
 
 
-def cmd_test(args: argparse.Namespace, opts: Options) -> int:
-    alternative = _choice(opts.get_str("alternative", "greater"),
-                          {"greater": "A_greater", "less": "A_less"},
-                          "--alternative")
-    exact = _choice(opts.get_str("exact", "auto"),
-                    {"auto": None, "on": True, "off": False}, "--exact")
-    mode = _choice(opts.get_str("mode", "substring"),
-                   {"substring": "substring", "exact": "exact"}, "--mode")
-    alpha = opts.get_float("fdr", 0.05)
-    rank_by = opts.get_str("rank_by", "p")
+# library value of each --alternative and --exact choice; the keys are
+# the choices that _build_parser declares
+_ALTERNATIVES = {"greater": "A_greater", "less": "A_less"}
+_EXACT = {"auto": None, "on": True, "off": False}
+
+
+def cmd_test(args: argparse.Namespace) -> int:
+    alternative = _ALTERNATIVES[args.alternative]
+    exact = _EXACT[args.exact]
 
     if len(args.datasets) == 1:
         if args.field is None:
@@ -398,9 +427,9 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
         try:
             if args.test == "wilcoxon":
                 results = wilcoxon_group_vs_rest(ds, args.field, args.keyword,
-                                                 alternative, mode, exact)
+                                                 alternative, args.mode, exact)
             else:
-                groups = sample_groups(ds, args.field, args.keyword, mode)
+                groups = sample_groups(ds, args.field, args.keyword, args.mode)
         except ValueError as exc:
             raise DegenerateDataError(str(exc)) from None
         if args.test == "kw":
@@ -420,67 +449,47 @@ def cmd_test(args: argparse.Namespace, opts: Options) -> int:
             results = kw_per_feature([d.data for d in dsets])
 
     adjusted = apply_fdr(results)
-    ranked = rank_features(adjusted, by=rank_by)
-    sig = len(significant_features(ranked, alpha))
+    ranked = rank_features(adjusted, by=args.rank_by)
+    sig = len(significant_features(ranked, args.fdr))
     with _partial_file(args.out) as fh:
         write_results_tsv(ranked, fh)
     tested = int(ranked.tested.sum())
     print(f"features={len(ranked)} tested={tested} significant={sig} "
-          f"threshold={alpha:g}")
+          f"threshold={args.fdr:g}")
     return 0
 
 
-def _feature_list(args: argparse.Namespace, opts: Options) -> list[str]:
-    features = opts.get_str("features")
-    top = opts.get("top")
-    if (features is None) == (top is None):
+def _feature_list(args: argparse.Namespace) -> list[str]:
+    if (args.features is None) == (args.top is None):
         raise _UsageError("exactly one of --features and --top is required")
-    if features is not None:
-        out = [f for f in features.split(",") if f]
+    if args.features is not None:
+        out = [f for f in args.features.split(",") if f]
         if not out:
             raise _UsageError("--features lists no symbols")
         return out
-    top = opts.get_int("top", 0)
-    if top < 1:
+    if args.top < 1:
         raise _UsageError("--top must be positive")
-    results_path = opts.get_str("results")
-    if results_path is None:
+    if args.results is None:
         raise _UsageError("--top needs --results (a ranked results table)")
-    return list(read_results_tsv(results_path).features[:top])
+    return list(read_results_tsv(args.results).features[:args.top])
 
 
-def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
-    scale = opts.get_bool("scale", False)
+def cmd_pca(args: argparse.Namespace) -> int:
     dsets = [load_dataset(p) for p in args.datasets]
-    if len(dsets) == 1:
-        ds = dsets[0]
-        if args.label_field is not None:
-            labels = list(ds.info.field(args.label_field))
-        else:
-            labels = [ds.name] * ds.n_samples
+    ds = dsets[0] if len(dsets) == 1 else merge_datasets(dsets)
+    if args.label_field is not None:
+        labels = list(ds.info.field(args.label_field))
     else:
-        ds = merge_datasets(dsets)
-        labels = []
-        for d in dsets:
-            labels.extend([d.name] * d.n_samples)
+        labels = [d.name for d in dsets for _ in range(d.n_samples)]
 
-    wanted = _feature_list(args, opts)
+    wanted = _feature_list(args)
     _check_features(wanted, ds.data.row_names)
     x = ds.data.take_rows(wanted).values.T
-    result = pca(x, scale=scale)
+    result = pca(x, scale=args.scale)
     points = project_first_plane(result, labels, names=ds.data.col_names)
-
-    spec = build_plot_spec([(px, py, lab) for _, px, py, lab in points],
-                           "PC1", "PC2",
-                           f"PCA of {len(wanted)} features, "
-                           f"{len(points)} samples")
-    with _partial_file(args.out_svg) as fh:
-        fh.write(render_svg(spec))
-    if args.out_tsv is not None:
-        with _partial_file(args.out_tsv) as fh:
-            fh.write("sample\tpc1\tpc2\tlabel\n")
-            for nm, px, py, lab in points:
-                fh.write(f"{nm}\t{px:.6g}\t{py:.6g}\t{lab}\n")
+    _write_plot(args, points, ("PC1", "PC2"),
+                f"PCA of {len(wanted)} features, {len(points)} samples",
+                "sample\tpc1\tpc2\tlabel")
     total = float(np.sum(result.eigenvalues))
     share = result.eigenvalues[:2] / total if total > 0 else [0.0, 0.0]
     print(f"samples={len(points)} variables={len(wanted)} "
@@ -488,33 +497,22 @@ def cmd_pca(args: argparse.Namespace, opts: Options) -> int:
     return 0
 
 
-def cmd_factor_plot(args: argparse.Namespace, opts: Options) -> int:
+def cmd_factor_plot(args: argparse.Namespace) -> int:
     if len(args.datasets) < 3:
         raise _UsageError("factor-plot needs at least three datasets")
     dsets = [load_dataset(p) for p in args.datasets]
-    features = common_rows([d.data for d in dsets])
-    medians = np.column_stack([median_column(d.data.take_rows(features)) for d in dsets])
-    names = [d.name for d in dsets]
-    coords = factor_plot_medians(medians, names)
-
-    spec = build_plot_spec([(c1, c2, nm) for nm, c1, c2 in coords],
-                           "C1", "C2",
-                           f"Median profiles of {len(names)} datasets")
-    with _partial_file(args.out_svg) as fh:
-        fh.write(render_svg(spec))
-    if args.out_tsv is not None:
-        with _partial_file(args.out_tsv) as fh:
-            fh.write("dataset\tc1\tc2\n")
-            for nm, c1, c2 in coords:
-                fh.write(f"{nm}\t{c1:.6g}\t{c2:.6g}\n")
-    print(f"datasets={len(names)} common_rows={len(features)}")
+    features, medians = _median_profiles(dsets)
+    coords = factor_plot_medians(np.column_stack(medians),
+                                 [d.name for d in dsets])
+    _write_plot(args, coords, ("C1", "C2"),
+                f"Median profiles of {len(dsets)} datasets", "dataset\tc1\tc2")
+    print(f"datasets={len(dsets)} common_rows={len(features)}")
     return 0
 
 
-def cmd_enrich(args: argparse.Namespace, opts: Options) -> int:
+def cmd_enrich(args: argparse.Namespace) -> int:
     results = read_results_tsv(args.results)
-    threshold = opts.get_float("threshold", 0.05)
-    selected = set(significant_features(results, threshold).features)
+    selected = set(significant_features(results, args.threshold).features)
 
     if args.universe is not None:
         universe = {s for s in map(str.strip, text_lines(args.universe)) if s}
@@ -542,10 +540,9 @@ def cmd_enrich(args: argparse.Namespace, opts: Options) -> int:
     return 0
 
 
-def cmd_split_het(args: argparse.Namespace, opts: Options) -> int:
+def cmd_split_het(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
-    if args.feature not in ds.data.row_names:
-        raise _UnknownFeatureError(args.feature, ds.data.row_names)
+    _check_features([args.feature], ds.data.row_names)
     try:
         r, (n_pos, n_neg) = heterogeneity_split(ds, args.feature)
     except ValueError as exc:
@@ -558,14 +555,15 @@ def cmd_split_het(args: argparse.Namespace, opts: Options) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The ``rankmerge`` parser and the parser of each command."""
     common = _Parser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON file with default option values")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized operations (default 0)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="processes formatting pairwise text, >= 1 (default 1)")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized operations")
+    common.add_argument("--threads", type=int, default=1,
+                        help="processes formatting pairwise text, >= 1")
 
     parser = _Parser(prog="rankmerge", parents=[common],
                      description="Rank-based merging and analysis "
@@ -583,10 +581,9 @@ def _build_parser() -> _Parser:
     p.add_argument("annotation", help="probe-to-symbol TSV")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--multi-policy", dest="multi_policy",
-                   choices=("first", "drop"), default=argparse.SUPPRESS,
+                   choices=("first", "drop"), default="first",
                    help="multi-symbol probes: keep first symbol or drop")
-    p.add_argument("--name", default=argparse.SUPPRESS,
-                   help="dataset name (default: series file stem)")
+    p.add_argument("--name", help="dataset name (default: series file stem)")
 
     p = add("score", cmd_score, "replace values by per-column rank scores")
     p.add_argument("dataset")
@@ -596,18 +593,19 @@ def _build_parser() -> _Parser:
     p = add("merge", cmd_merge, "merge datasets on common features")
     p.add_argument("datasets", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--name", default=argparse.SUPPRESS)
+    p.add_argument("--name", help="dataset name (default: the dataset "
+                                  "names joined by +)")
 
     p = add("select", cmd_select, "keep samples matching a metadata keyword")
     p.add_argument("dataset")
     p.add_argument("--field", required=True)
     p.add_argument("--keyword", required=True)
     p.add_argument("--mode", choices=("exact", "substring"),
-                   default=argparse.SUPPRESS)
+                   default="substring")
     p.add_argument("--invert", action="store_true",
                    help="drop matching samples instead")
     p.add_argument("--out", required=True)
-    p.add_argument("--name", default=argparse.SUPPRESS)
+    p.add_argument("--name", help="dataset name (default: the input's)")
 
     p = add("partition", cmd_partition, "split samples at random")
     p.add_argument("dataset")
@@ -621,66 +619,64 @@ def _build_parser() -> _Parser:
             "correlation matrix of dataset median profiles")
     p.add_argument("datasets", nargs="+")
     p.add_argument("--method", choices=("pearson", "spearman"),
-                   default=argparse.SUPPRESS)
+                   default="pearson")
     p.add_argument("--out", required=True)
 
     p = add("pairwise", cmd_pairwise, "stream all row-pair correlations")
     p.add_argument("dataset")
     p.add_argument("--method", choices=("pearson", "spearman"),
-                   default=argparse.SUPPRESS)
-    p.add_argument("--chunk", type=int, default=argparse.SUPPRESS,
-                   help="rows per block (default 256)")
+                   default="pearson")
+    p.add_argument("--chunk", type=int, default=256, help="rows per block")
     p.add_argument("--out", required=True)
 
     p = add("test", cmd_test, "per-feature group tests with FDR control")
     p.add_argument("datasets", nargs="+",
                    help="group datasets, or one dataset to split by --field")
     p.add_argument("--test", required=True, choices=("kw", "wilcoxon"))
-    p.add_argument("--field", default=None)
-    p.add_argument("--keyword", default=None)
+    p.add_argument("--field", help="metadata field splitting one dataset")
+    p.add_argument("--keyword",
+                   help="compare the samples matching it against the rest "
+                        "(default: one group per field value)")
     p.add_argument("--mode", choices=("exact", "substring"),
-                   default=argparse.SUPPRESS)
-    p.add_argument("--alternative", choices=("greater", "less"),
-                   default=argparse.SUPPRESS,
-                   help="one-sided direction for wilcoxon (default greater)")
-    p.add_argument("--exact", choices=("auto", "on", "off"),
-                   default=argparse.SUPPRESS,
-                   help="wilcoxon exact enumeration (default auto)")
-    p.add_argument("--fdr", type=float, default=argparse.SUPPRESS,
-                   help="significance threshold on adjusted p (default 0.05)")
+                   default="substring")
+    p.add_argument("--alternative", choices=_ALTERNATIVES, default="greater",
+                   help="one-sided direction for wilcoxon")
+    p.add_argument("--exact", choices=_EXACT, default="auto",
+                   help="wilcoxon exact enumeration")
+    p.add_argument("--fdr", type=float, default=0.05,
+                   help="significance threshold on adjusted p")
     p.add_argument("--rank-by", dest="rank_by", choices=("p", "statistic"),
-                   default=argparse.SUPPRESS)
+                   default="p")
     p.add_argument("--out", required=True)
 
     p = add("pca", cmd_pca, "scatter samples on the first principal plane")
     p.add_argument("datasets", nargs="+")
-    p.add_argument("--features", default=argparse.SUPPRESS,
-                   help="comma-separated feature symbols")
-    p.add_argument("--top", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--features", help="comma-separated feature symbols")
+    p.add_argument("--top", type=int,
                    help="take the N best features from --results")
-    p.add_argument("--results", default=argparse.SUPPRESS,
-                   help="ranked results table for --top")
-    p.add_argument("--label-field", dest="label_field", default=None,
-                   help="metadata field providing point labels")
-    p.add_argument("--scale", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--results", help="ranked results table for --top")
+    p.add_argument("--label-field", dest="label_field",
+                   help="metadata field providing point labels "
+                        "(default: each sample's dataset name)")
+    p.add_argument("--scale", action="store_true",
                    help="scale variables to unit variance first")
     p.add_argument("--out-svg", dest="out_svg", required=True)
-    p.add_argument("--out-tsv", dest="out_tsv", default=None)
+    p.add_argument("--out-tsv", dest="out_tsv", help="point coordinates")
 
     p = add("factor-plot", cmd_factor_plot,
             "project dataset median vectors on the first plane")
     p.add_argument("datasets", nargs="+")
     p.add_argument("--out-svg", dest="out_svg", required=True)
-    p.add_argument("--out-tsv", dest="out_tsv", default=None)
+    p.add_argument("--out-tsv", dest="out_tsv", help="dataset coordinates")
 
     p = add("enrich", cmd_enrich, "gene-set enrichment of significant features")
     p.add_argument("results", help="results table from the test command")
     p.add_argument("gmt", help="gene sets in GMT format")
-    p.add_argument("--universe", default=None,
+    p.add_argument("--universe",
                    help="file with one universe symbol per line "
                         "(default: all tested features)")
-    p.add_argument("--threshold", type=float, default=argparse.SUPPRESS,
-                   help="adjusted-p cutoff selecting features (default 0.05)")
+    p.add_argument("--threshold", type=float, default=0.05,
+                   help="adjusted-p cutoff selecting features")
     p.add_argument("--out", required=True)
 
     p = add("split-het", cmd_split_het,
@@ -688,7 +684,8 @@ def _build_parser() -> _Parser:
     p.add_argument("dataset")
     p.add_argument("--feature", required=True)
 
-    return parser
+    _suppress_defaults(sub.choices)
+    return parser, sub.choices
 
 
 # Exit code per exception type, first match wins: ParseError and the
@@ -714,12 +711,12 @@ def main(argv=None) -> int:
     entry, which freezes the start-up objects (see the module docstring)."""
     if argv is None:
         gc.freeze()
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         config = _load_config(getattr(args, "config", None))
-        opts = Options(args, config, args.command)
-        return args.func(args, opts)
+        _resolve_options(args, config, commands[args.command])
+        return args.func(args)
     except tuple(t for t, _ in _EXIT_CODES) as exc:
         # str() of a KeyError is the repr of its message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

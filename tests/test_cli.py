@@ -572,6 +572,22 @@ class TestPcaCommand:
                   for line in tsv.read_text().splitlines()[1:]]
         assert labels == ["a", "a", "b", "b"]
 
+    def test_multi_dataset_label_field(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        rows = ["X", "Y", "Z"]
+        a = make_ds(tmp_path, "a", rows, ["a1", "a2"], rng.normal(size=(3, 2)),
+                    fields=["grp"], cells=[("u", "v")])
+        b = make_ds(tmp_path, "b", rows, ["b1", "b2"], rng.normal(size=(3, 2)))
+        tsv = tmp_path / "p.tsv"
+        code, _, _ = run(capsys, "pca", a, b, "--features", "X,Y,Z",
+                         "--label-field", "grp",
+                         "--out-svg", tmp_path / "p.svg", "--out-tsv", tsv)
+        assert code == 0
+        labels = [line.split("\t")[3]
+                  for line in tsv.read_text().splitlines()[1:]]
+        # a dataset without the field labels its samples ""
+        assert labels == ["u", "v", "", ""]
+
 
 class TestFactorPlotCommand:
     def three_datasets(self, tmp_path):
