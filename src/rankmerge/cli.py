@@ -282,21 +282,17 @@ def _median_profiles(dsets: list[Dataset]):
     return features, [median_column(d.data.take_rows(features)) for d in dsets]
 
 
-def _write_plot(args: argparse.Namespace, rows, axes: tuple[str, str],
-                title: str, header: str) -> None:
-    """Plot ``rows`` of (name, x, y[, label]) to --out-svg, each point
-    labelled by its label, else its name; then write the rows under
-    ``header`` to --out-tsv when it is given."""
-    spec = build_plot_spec([(x, y, label[0] if label else name)
-                            for name, x, y, *label in rows], *axes, title)
-    with _partial_file(args.out_svg) as fh:
+def _write_plot(out_svg: str, out_tsv: str | None, spec, header: str,
+                rows) -> None:
+    """Render ``spec`` to ``out_svg``; then, when ``out_tsv`` is given,
+    write ``header`` and each row of text cells to it."""
+    with _partial_file(out_svg) as fh:
         fh.write(render_svg(spec))
-    if args.out_tsv is not None:
-        with _partial_file(args.out_tsv) as fh:
+    if out_tsv is not None:
+        with _partial_file(out_tsv) as fh:
             fh.write(header + "\n")
-            for name, x, y, *label in rows:
-                fh.write("\t".join([name, f"{x:.6g}", f"{y:.6g}", *label])
-                         + "\n")
+            for row in rows:
+                fh.write("\t".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +483,13 @@ def cmd_pca(args: argparse.Namespace) -> int:
     x = ds.data.take_rows(wanted).values.T
     result = pca(x, scale=args.scale)
     points = project_first_plane(result, labels, names=ds.data.col_names)
-    _write_plot(args, points, ("PC1", "PC2"),
-                f"PCA of {len(wanted)} features, {len(points)} samples",
-                "sample\tpc1\tpc2\tlabel")
+    spec = build_plot_spec([(x, y, label) for _, x, y, label in points],
+                           "PC1", "PC2",
+                           f"PCA of {len(wanted)} features, "
+                           f"{len(points)} samples")
+    _write_plot(args.out_svg, args.out_tsv, spec, "sample\tpc1\tpc2\tlabel",
+                [(name, f"{x:.6g}", f"{y:.6g}", label)
+                 for name, x, y, label in points])
     total = float(np.sum(result.eigenvalues))
     share = result.eigenvalues[:2] / total if total > 0 else [0.0, 0.0]
     print(f"samples={len(points)} variables={len(wanted)} "
@@ -504,8 +504,10 @@ def cmd_factor_plot(args: argparse.Namespace) -> int:
     features, medians = _median_profiles(dsets)
     coords = factor_plot_medians(np.column_stack(medians),
                                  [d.name for d in dsets])
-    _write_plot(args, coords, ("C1", "C2"),
-                f"Median profiles of {len(dsets)} datasets", "dataset\tc1\tc2")
+    spec = build_plot_spec([(x, y, name) for name, x, y in coords], "C1", "C2",
+                           f"Median profiles of {len(dsets)} datasets")
+    _write_plot(args.out_svg, args.out_tsv, spec, "dataset\tc1\tc2",
+                [(name, f"{x:.6g}", f"{y:.6g}") for name, x, y in coords])
     print(f"datasets={len(dsets)} common_rows={len(features)}")
     return 0
 

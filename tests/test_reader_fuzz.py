@@ -8,6 +8,7 @@ ends in its row of the exit-code table (2 for a malformed input), never
 in an uncaught exception.
 """
 
+import argparse
 import io
 import json
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankmerge.cli import _load_config, main
+from rankmerge.cli import _UsageError, _build_parser, _load_config, _resolve_options, main
 from rankmerge.errors import ManifestError, ParseError
 from rankmerge.ingest import load_dataset, save_dataset
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
@@ -215,6 +216,18 @@ CONFIG_TEXT = json.dumps({"seed": 3, "threads": 2, "test": {"fdr": 0.1},
                           "name": "x"})
 
 
+def refused(config: dict) -> bool:
+    """Whether ``config`` gives an option of split-het (--seed, --threads)
+    a value that does not match its declaration."""
+    _, commands = _build_parser()
+    try:
+        _resolve_options(argparse.Namespace(command="split-het"), config,
+                         commands["split-het"])
+    except _UsageError:
+        return True
+    return False
+
+
 @FUZZ
 @given(json_bytes(CONFIG_TEXT))
 def test_config_bytes(tmp_path, bases, data):
@@ -224,4 +237,33 @@ def test_config_bytes(tmp_path, bases, data):
     got = outcome(_load_config, str(cfg))
     assert isinstance(got, (dict, ParseError))
     code = run(["--config", cfg, "split-het", root, "--feature", "A"])
-    assert code == (2 if isinstance(got, ParseError) else 0)
+    assert code == (2 if isinstance(got, ParseError)
+                    else 1 if refused(got) else 0)
+
+
+# near-valid configs whose values parse as JSON but fail the declaration
+# of split-het's --seed or --threads: 1e999 reads as inf, quotes make a string
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 31e999}', "seed"),
+    ('{"seed": "3"}', "seed"),
+    ('{"seed": 3.5}', "seed"),
+    ('{"threads": true}', "threads"),
+    ('{"threads": null}', "threads"),
+])
+def test_config_value_refused(tmp_path, bases, capsys, text, key):
+    root = directory(tmp_path, bases[2], 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert refused(_load_config(str(cfg)))
+    assert run(["--config", cfg, "split-het", root, "--feature", "A"]) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_values_accepted(tmp_path, bases):
+    root = directory(tmp_path, bases[2], 2)
+    cfg = tmp_path / "cfg.json"
+    for text in (CONFIG_TEXT, '{"seed": 3.0, "threads": 1}',
+                 '{"name": 1e999, "test": 0.1, "split-het": {}}'):
+        cfg.write_text(text)
+        assert not refused(_load_config(str(cfg)))
+        assert run(["--config", cfg, "split-het", root, "--feature", "A"]) == 0
