@@ -8,8 +8,9 @@ declared once, in its ``add_argument`` call in ``_build_parser``.  A JSON
 config file (--config) may supply option values: ``_resolve_options``
 fills each optional flag the command line left out from the command's
 section (a top-level key named after the command), else the top-level
-key, else the declared default, and refuses a config value that does
-not match the declaration before the command runs.  Positional and
+key, else the declared default, and refuses, before the command runs,
+a config value that does not match the declaration and a key in the
+command's section that is none of its options.  Positional and
 required arguments come from the command line only.  --seed, --threads
 and --config are accepted before or after the command name.  --threads N
 formats the text of pairwise in N worker processes (other commands
@@ -161,12 +162,17 @@ def _resolve_options(args: argparse.Namespace, config: dict,
                      command: _Parser) -> None:
     """Fill each optional flag the command line left out: the command's
     config section, else the top-level key, else the declared default.
-    A top-level dict is always a command section, never a value."""
+    A top-level dict is always a command section, never a value; a key
+    in the section that is none of the command's options is refused."""
     section = config.get(args.command)
     section = section if isinstance(section, dict) else {}
-    for action in command._actions:
-        key = action.dest
-        if not hasattr(action, "declared") or hasattr(args, key):
+    options = {a.dest: a for a in command._actions if hasattr(a, "declared")}
+    for key in section:
+        if key not in options:
+            raise _UsageError(f"config key {key!r} is unknown in section "
+                              f"{args.command!r}")
+    for key, action in options.items():
+        if hasattr(args, key):
             continue
         if key in section:
             value = _config_value(action, section[key])
@@ -398,7 +404,7 @@ def cmd_pairwise(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
     with _partial_file(args.out) as fh:
         result = write_pairwise_text(ds.data, fh, method=args.method,
-                                     chunk=args.chunk, threads=args.threads)
+                                     threads=args.threads)
     print(f"pairs={result.emitted} skipped={result.skipped}")
     return 0
 
@@ -431,6 +437,9 @@ def cmd_test(args: argparse.Namespace) -> int:
         if args.test == "kw":
             results = kw_per_feature(groups)
     else:
+        if args.field is not None or args.keyword is not None:
+            raise _UsageError("--field and --keyword split one dataset; "
+                              "several datasets are the groups themselves")
         dsets = [load_dataset(p) for p in args.datasets]
         empty = [d.name for d in dsets if d.n_samples == 0]
         if empty:
@@ -628,7 +637,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("dataset")
     p.add_argument("--method", choices=("pearson", "spearman"),
                    default="pearson")
-    p.add_argument("--chunk", type=int, default=256, help="rows per block")
     p.add_argument("--out", required=True)
 
     p = add("test", cmd_test, "per-feature group tests with FDR control")

@@ -241,49 +241,28 @@ def reduce_duplicates(raw: DataMatrix) -> tuple[DataMatrix, list[str]]:
     """Collapse repeated row names, keeping the row with the largest IQR.
 
     Ties keep the first occurrence; output rows follow first-occurrence
-    order of each name.  Returns the reduced matrix and the list of
-    names dropped because every candidate row was entirely missing.
+    order of each name.  A name's only row is kept unless it is entirely
+    missing, whatever its IQR.  Returns the reduced matrix and the list
+    of names dropped because every candidate row was entirely missing.
     """
-    order: list[str] = []
-    groups: dict[str, list[int]] = {}
-    for i, name in enumerate(raw.row_names):
-        if name not in groups:
-            groups[name] = []
-            order.append(name)
-        groups[name].append(i)
-
-    all_missing = np.isnan(raw.values).all(axis=1).tolist()
-    repeated = [i for name in order if len(groups[name]) > 1
-                for i in groups[name]]
-    iqr = dict(zip(repeated, _row_iqrs(raw.values[repeated]).tolist()))
-
-    keep: list[int] = []
-    dropped: list[str] = []
-    for name in order:
-        rows = groups[name]
-        if len(rows) == 1:
-            if all_missing[rows[0]]:
-                dropped.append(name)
-            else:
-                keep.append(rows[0])
-            continue
-        best_i = -1
-        best_iqr = -np.inf
-        for i in rows:
-            spread = iqr[i]
-            if np.isnan(spread):
-                continue  # all-missing candidates never win
-            if spread > best_iqr:
-                best_iqr = spread
-                best_i = i
-        if best_i < 0:
-            dropped.append(name)
-        else:
-            keep.append(best_i)
-
+    first: dict[str, int] = {}
+    group = np.array([first.setdefault(name, i)
+                      for i, name in enumerate(raw.row_names)], dtype=np.intp)
+    # each row's claim: its IQR where its name repeats, else 0; -inf for
+    # a row that never wins (entirely missing, or a NaN IQR)
+    repeated = np.bincount(group, minlength=raw.n_rows)[group] > 1
+    claim = np.zeros(raw.n_rows)
+    claim[repeated] = _row_iqrs(raw.values[repeated])
+    claim[np.isnan(claim) | np.isnan(raw.values).all(axis=1)] = -np.inf
+    # groups in first-occurrence order, each led by its largest claim;
+    # the sort is stable, so equal claims keep row order
+    order = np.lexsort((-claim, group))
+    lead = order[np.diff(group[order], prepend=-1) != 0]
+    live = claim[lead] > -np.inf
+    keep = lead[live].tolist()
     reduced = DataMatrix(tuple(raw.row_names[i] for i in keep),
                          raw.col_names, raw.values[keep])
-    return reduced, dropped
+    return reduced, [raw.row_names[i] for i in lead[~live].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -302,56 +281,45 @@ def common_rows(matrices: Sequence[DataMatrix]) -> list[str]:
     return sorted(shared)
 
 
+def _merged_names(names: Sequence[Sequence[str]],
+                  prefixes: Sequence[str]) -> tuple[str, ...]:
+    """Each input's sample names prefixed ``"<prefix>:"``, in input
+    order; a name that repeats is an error naming the sample."""
+    if len(prefixes) != len(names):
+        raise ValueError("one prefix per input required")
+    out = tuple(f"{p}:{c}" for p, cols in zip(prefixes, names) for c in cols)
+    _check_unique(out, "sample name after merge")
+    return out
+
+
 def merge_data(matrices: Sequence[DataMatrix],
-               prefixes: Sequence[str] | None = None) -> DataMatrix:
+               prefixes: Sequence[str]) -> DataMatrix:
     """Stack matrices column-wise on their common rows.
 
     Rows are the sorted common names; columns are concatenated in input
-    order, prefixed ``"<prefix>:"`` when ``prefixes`` is given.  A
-    resulting column-name collision is an error naming the sample.
+    order, each prefixed ``"<prefix>:"``.  A resulting column-name
+    collision is an error naming the sample.
     """
-    if prefixes is not None and len(prefixes) != len(matrices):
-        raise ValueError("one prefix per matrix required")
     rows = common_rows(matrices)
-
-    col_names: list[str] = []
-    seen: set[str] = set()
-    blocks: list[np.ndarray] = []
     for mi, m in enumerate(matrices):
         _check_unique(m.row_names, f"row name in input {mi}")
-        blocks.append(m.take_rows(rows).values)
-        for c in m.col_names:
-            full = f"{prefixes[mi]}:{c}" if prefixes is not None else c
-            if full in seen:
-                raise ValueError(f"duplicate sample name after merge: {full!r}")
-            seen.add(full)
-            col_names.append(full)
-    return DataMatrix(tuple(rows), tuple(col_names), np.hstack(blocks))
+    return DataMatrix(tuple(rows),
+                      _merged_names([m.col_names for m in matrices], prefixes),
+                      np.hstack([m.take_rows(rows).values for m in matrices]))
 
 
 def merge_info(infos: Sequence[InfoMatrix],
-               prefixes: Sequence[str] | None = None) -> InfoMatrix:
-    """Concatenate metadata columns; fields are united in first-seen order.
+               prefixes: Sequence[str]) -> InfoMatrix:
+    """Concatenate metadata columns, prefixed as :func:`merge_data`
+    prefixes them; fields are united in first-seen order.
 
     A sample whose source lacks some field gets ``""`` there.
     """
-    if prefixes is not None and len(prefixes) != len(infos):
-        raise ValueError("one prefix per info matrix required")
     fields: list[str] = []
     for info in infos:
         for f in info.field_names:
             if f not in fields:
                 fields.append(f)
-
-    col_names: list[str] = []
-    seen: set[str] = set()
-    for ii, info in enumerate(infos):
-        for c in info.col_names:
-            full = f"{prefixes[ii]}:{c}" if prefixes is not None else c
-            if full in seen:
-                raise ValueError(f"duplicate sample name after merge: {full!r}")
-            seen.add(full)
-            col_names.append(full)
 
     cells: list[tuple[str, ...]] = []
     for f in fields:
@@ -362,7 +330,9 @@ def merge_info(infos: Sequence[InfoMatrix],
             else:
                 row.extend([""] * info.n_cols)
         cells.append(tuple(row))
-    return InfoMatrix(tuple(fields), tuple(col_names), tuple(cells))
+    return InfoMatrix(tuple(fields),
+                      _merged_names([i.col_names for i in infos], prefixes),
+                      tuple(cells))
 
 
 def merge_datasets(datasets: Sequence[Dataset], name: str | None = None) -> Dataset:

@@ -22,7 +22,6 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress, repeat
-from pathlib import Path
 from typing import Callable, TextIO
 
 import numpy as np
@@ -132,11 +131,6 @@ class ResultTable(Sequence):
         return map(self.__getitem__, range(len(self)))
 
 
-def _like(results: Sequence[TestResult], table: ResultTable):
-    """``table`` as the caller's input came: a table, or a list of rows."""
-    return table if isinstance(results, ResultTable) else list(table)
-
-
 # ---------------------------------------------------------------------------
 # plain correlations
 # ---------------------------------------------------------------------------
@@ -242,24 +236,29 @@ def pair_count(n_rows: int) -> int:
     return n_rows * (n_rows - 1) // 2
 
 
+# rows per block product: memory stays at O(_BLOCK_ROWS x rows), and the
+# block boundaries, which group the matrix products, never move
+_BLOCK_ROWS = 256
+
+
 def pairwise_row_correlations(m: DataMatrix,
                               sink: Callable[[str, str, float], None],
-                              method: str = "pearson",
-                              chunk: int = 256,
+                              method: str = "pearson", *,
                               threads: int = 1) -> PairwiseResult:
     """Stream the correlation of every unordered row pair to ``sink``.
 
-    One serial loop correlates ``chunk`` rows at a time with every later
-    row by block products and emits their pairs in row order (i < j),
-    so memory stays at O(chunk x rows).  ``sink`` is called in this
-    process; ``threads`` (>= 1) only sets the text formatting workers of
-    :func:`write_pairwise_text`.  Spearman ranks each row as
-    :func:`spearman` does.  A pair with fewer than 3 complete
-    observations, or a row constant over them, is skipped and counted
-    (see :func:`_block_correlations`).
+    One serial loop correlates a block of :data:`_BLOCK_ROWS` (256) rows
+    at a time with every later row by block products and emits their
+    pairs in row order (i < j), so memory stays at O(256 x rows).  No
+    argument moves the block boundaries, so none moves an output bit.
+    ``sink`` is called in this process; ``threads`` (>= 1) only sets the
+    text formatting workers of :func:`write_pairwise_text`.  Spearman
+    ranks each row as :func:`spearman` does.  A pair with fewer than 3
+    complete observations, or a row constant over them, is skipped and
+    counted (see :func:`_block_correlations`).
     """
     emitted = 0
-    for s, r, keep in _correlation_blocks(m, method, chunk, threads):
+    for s, r, keep in _correlation_blocks(m, method, threads):
         names = m.row_names[s:]
         for k, a in enumerate(names[:len(r)]):
             partners, rs = _partners(names, r, keep, k)
@@ -273,8 +272,8 @@ def pairwise_row_correlations(m: DataMatrix,
 _TASK_PAIRS = 2 ** 16
 
 
-def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson",
-                        chunk: int = 256, threads: int = 1) -> PairwiseResult:
+def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson", *,
+                        threads: int = 1) -> PairwiseResult:
     """Write one line "a<TAB>b<TAB>repr(r)" per pair that
     :func:`pairwise_row_correlations` emits, in the same order.
 
@@ -284,12 +283,13 @@ def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson",
     min(``threads``, CPUs, tasks) processes with at most two tasks per
     worker in flight, so the bytes are the same for any ``threads``.
     """
-    blocks = _correlation_blocks(m, method, chunk, threads)
+    blocks = _correlation_blocks(m, method, threads)
     n = m.n_rows
     per_task = max(1, _TASK_PAIRS // max(n, 1))
     tasks = ((m.row_names[s + a:], r[a:a + per_task, a:], keep[a:a + per_task, a:])
              for s, r, keep in blocks for a in range(0, len(r), per_task))
-    n_tasks = sum(math.ceil(min(chunk, n - s) / per_task) for s in range(0, n, chunk))
+    n_tasks = sum(math.ceil(min(_BLOCK_ROWS, n - s) / per_task)
+                  for s in range(0, n, _BLOCK_ROWS))
     workers = min(threads, os.cpu_count() or 1, n_tasks)
     emitted = 0
     with closing(_formatted(tasks, workers)) as results:
@@ -347,22 +347,23 @@ def _partners(names: Sequence[str], r: np.ndarray, keep: np.ndarray, k: int):
     return compress(names[k + 1:], ok.tolist()), r[k, k + 1:][ok].tolist()
 
 
-def _correlation_blocks(m: DataMatrix, method: str, chunk: int, threads: int):
+def _correlation_blocks(m: DataMatrix, method: str, threads: int):
     """Check the arguments now; then yield (s, r, keep) per block of
-    ``chunk`` rows s:e, with r and keep of rows s:e against rows s:."""
+    :data:`_BLOCK_ROWS` rows s:e, with r and keep of rows s:e against
+    rows s:."""
     if method not in _CORR_FUNCS:
         raise ValueError(f"unknown correlation method {method!r}")
     if m.n_cols < 3:
         raise ValueError("need at least 3 columns")
-    if chunk < 1 or threads < 1:
-        raise ValueError("chunk and threads must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if len(set(m.row_names)) != m.n_rows:
         raise ValueError("row names must be unique for pairwise correlations")
 
     vals = np.array(m.values, dtype=float)
     block = _block_correlations(rank_rows(vals)[0] if method == "spearman" else vals)
-    return ((s, *block(s, min(s + chunk, m.n_rows)))
-            for s in range(0, m.n_rows, chunk))
+    return ((s, *block(s, min(s + _BLOCK_ROWS, m.n_rows)))
+            for s in range(0, m.n_rows, _BLOCK_ROWS))
 
 
 def _block_correlations(vals: np.ndarray):
@@ -655,26 +656,22 @@ def benjamini_yekutieli(p_values: Sequence[LogP]) -> list[LogP]:
     return [LogP(v) for v in _by_adjusted_ln(_ln_column(p_values)).tolist()]
 
 
-def apply_fdr(results: Sequence[TestResult]) -> ResultTable | list[TestResult]:
+def apply_fdr(results: Sequence[TestResult]) -> ResultTable:
     """Attach Benjamini-Yekutieli adjusted p-values.
 
     Degenerate entries (no raw p) pass through unadjusted and do not
-    count toward m.  A table gives a table; a list of rows gives a list
-    in which the untested rows are the ones passed in.
+    count toward m.
     """
     table = ResultTable.of(results)
     tested = table.tested
     ln_adj = table.ln_p_adj.copy()
     if tested.any():
         ln_adj[tested] = _by_adjusted_ln(table.ln_p[tested])
-    out = replace(table, ln_p_adj=ln_adj)
-    if isinstance(results, ResultTable):
-        return out
-    return [r if r.p_raw is None else row for r, row in zip(results, out)]
+    return replace(table, ln_p_adj=ln_adj)
 
 
 def significant_features(results: Sequence[TestResult],
-                         threshold: float = 0.05) -> ResultTable | list[TestResult]:
+                         threshold: float = 0.05) -> ResultTable:
     """Entries with adjusted p strictly below ``threshold``.
 
     Results that carry a raw p but no adjusted p mean the FDR step was
@@ -685,11 +682,10 @@ def significant_features(results: Sequence[TestResult],
     table = ResultTable.of(results)
     if (table.tested & np.isnan(table.ln_p_adj)).any():
         raise ValueError("results carry no adjusted p-values; apply FDR first")
-    return _like(results, table.take(table.ln_p_adj < math.log(threshold)))
+    return table.take(table.ln_p_adj < math.log(threshold))
 
 
-def rank_features(results: Sequence[TestResult],
-                  by: str = "p") -> ResultTable | list[TestResult]:
+def rank_features(results: Sequence[TestResult], by: str = "p") -> ResultTable:
     """Order results by significance.
 
     ``by="p"``: ascending raw p (ties broken by feature name).
@@ -709,7 +705,7 @@ def rank_features(results: Sequence[TestResult],
     by_name = np.empty(len(t), dtype=np.intp)
     by_name[sorted(range(len(t)), key=t.features.__getitem__)] = np.arange(len(t))
     order = np.lexsort((by_name, np.where(last, 0.0, key), last))
-    return _like(results, t.take(order))
+    return t.take(order)
 
 
 # ---------------------------------------------------------------------------
@@ -843,16 +839,13 @@ def p_cells(ln_p: np.ndarray) -> tuple[list[str], list[str]]:
             _cells((ln_p / _LN10).tolist(), ".6f", {"NA": na}))
 
 
-def write_results_tsv(results: Sequence[TestResult], dest: str | Path | TextIO) -> None:
-    """Write a result table; see RESULT_COLUMNS for the layout.
+def write_results_tsv(results: Sequence[TestResult], dest: TextIO) -> None:
+    """Write a result table to the text stream ``dest``; see
+    RESULT_COLUMNS for the layout.
 
     Linear p columns clamp below 1e-308 to the marker "<1e-308"; the
     log10 columns always carry the exact value.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_results_tsv(results, fh)
-        return
     t = ResultTable.of(results)
     columns = [t.features,
                _cells(t.statistic.tolist(), ".10g", {"NA": np.isnan(t.statistic)}),

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rankmerge import rstats
 from rankmerge.cli import main
 from rankmerge.errors import ParseError
 from rankmerge.ingest import (
@@ -102,7 +103,7 @@ def test_criterion_02_pair_count_and_benchmark():
         emitted[0] += 1
 
     start = time.perf_counter()
-    result = pairwise_row_correlations(m, sink, chunk=256)
+    result = pairwise_row_correlations(m, sink)
     elapsed = time.perf_counter() - start
     ok_bench = (result.emitted == emitted[0] == 1_999_000
                 and result.skipped == 0 and elapsed < 60.0)
@@ -470,7 +471,7 @@ def test_criterion_11_parser_round_trip(tmp_path):
 # 12. determinism of streamed and rendered outputs
 # ---------------------------------------------------------------------------
 
-def test_criterion_12_deterministic_outputs(tmp_path):
+def test_criterion_12_deterministic_outputs(tmp_path, monkeypatch):
     rng = np.random.default_rng(12)
     rows = [f"g{i}" for i in range(60)]
     cols = [f"s{j}" for j in range(10)]
@@ -479,8 +480,9 @@ def test_criterion_12_deterministic_outputs(tmp_path):
                       ((("x",) * 5 + ("y",) * 5),))
     save_dataset(Dataset(data, info, name="det"), tmp_path / "det")
 
+    monkeypatch.setattr(rstats, "_BLOCK_ROWS", 7)  # blocks not dividing 60 rows
     for threads, out in ((1, "t1.tsv"), (8, "t8.tsv")):
-        assert _quiet_main(["pairwise", tmp_path / "det", "--chunk", "7",
+        assert _quiet_main(["pairwise", tmp_path / "det",
                             "--threads", threads,
                             "--out", tmp_path / out]) == 0
     ok_pairwise = ((tmp_path / "t1.tsv").read_bytes()

@@ -280,7 +280,7 @@ class TestMedianCorCommand:
 
 
 def _fail_second_task(names, r, keep):
-    # with --chunk 4 the second task starts at row g4
+    # with blocks of 4 rows the second task starts at row g4
     if names[0] == "g4":
         raise ValueError(f"second task failed in process {os.getpid()} ")
     return _pair_lines(names, r, keep)
@@ -305,7 +305,9 @@ class TestPairwiseCommand:
         assert first[:2] == ["a", "b"]
         assert float(first[2]) == pytest.approx(1.0)
 
-    def test_thread_count_is_invisible_in_output(self, tmp_path, capsys):
+    def test_thread_count_is_invisible_in_output(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 4)
         rng = np.random.default_rng(2)
         vals = rng.normal(size=(23, 7))
         gappy = vals.copy()
@@ -315,11 +317,22 @@ class TestPairwiseCommand:
                          [f"s{j}" for j in range(7)], values)
             for threads in ("1", "4"):
                 code, _, _ = run(capsys, "pairwise", ds, "--threads", threads,
-                                 "--chunk", "4",
                                  "--out", tmp_path / f"{name}{threads}.tsv")
                 assert code == 0
             assert (tmp_path / f"{name}1.tsv").read_bytes() \
                 == (tmp_path / f"{name}4.tsv").read_bytes()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_block_size_is_no_option(self, tmp_path, capsys, how):
+        ds = make_ds(tmp_path, "d", ["a", "b"], ["s1", "s2", "s3"],
+                     [[1, 2, 3], [3, 1, 2]])
+        out = tmp_path / "p.txt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pairwise": {"chunk": 4}}))
+        extra = ["--chunk", "4"] if how == "flag" else ["--config", cfg]
+        code, stdout, stderr = run(capsys, "pairwise", ds, *extra, "--out", out)
+        assert code == 1 and stdout == "" and "chunk" in stderr
+        assert not out.exists()
 
     def test_threads_below_one_exit_1(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "d", ["a", "b"], ["s1", "s2", "s3"],
@@ -331,6 +344,7 @@ class TestPairwiseCommand:
         assert not out.exists()
 
     def test_worker_failure_cleans_up(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 4)
         monkeypatch.setattr(rstats, "_pair_lines", _fail_second_task)
         monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
         rng = np.random.default_rng(3)
@@ -338,7 +352,7 @@ class TestPairwiseCommand:
                      [f"s{j}" for j in range(7)], rng.normal(size=(23, 7)))
         out = tmp_path / "p.txt"
         code, _, stderr = run(capsys, "pairwise", ds, "--threads", "2",
-                              "--chunk", "4", "--out", out)
+                              "--out", out)
         assert code != 0 and "second task failed in process" in stderr
         assert not out.exists()
         assert not (tmp_path / "p.txt.partial").exists()
@@ -349,6 +363,7 @@ class TestPairwiseCommand:
             os.kill(pid, 0)
 
     def test_killed_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 4)
         monkeypatch.setattr(rstats, "_pair_lines", _kill_second_task)
         monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
         rng = np.random.default_rng(3)
@@ -356,7 +371,7 @@ class TestPairwiseCommand:
                      [f"s{j}" for j in range(7)], rng.normal(size=(23, 7)))
         out = tmp_path / "p.txt"
         code, stdout, stderr = run(capsys, "pairwise", ds, "--threads", "2",
-                                   "--chunk", "4", "--out", out)
+                                   "--out", out)
         assert code == 1 and stdout == ""
         assert stderr.startswith("error: pairwise text formatter: ")
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
@@ -476,6 +491,30 @@ class TestTestCommand:
                          "--out", out)
         assert code == 0
         assert read_results_tsv(out)[0].feature == "g3"
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--field", "x"], {}),
+        (["--keyword", "kw"], {}),
+        (["--field", "x", "--keyword", "kw"], {}),
+        ([], {"field": "x"}),
+        ([], {"test": {"keyword": "kw"}}),
+    ])
+    def test_several_datasets_refuse_field_and_keyword(self, tmp_path, capsys,
+                                                       monkeypatch, flags,
+                                                       config):
+        # the datasets are the groups: a field or keyword would be ignored
+        rows, cols = ["X"], ["s1", "s2"]
+        a, b = (make_ds(tmp_path, n, rows, cols, [[1.0, 2.0]]) for n in "ab")
+        monkeypatch.setattr(cli, "load_dataset", None)  # none may be read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "r.tsv"
+        code, stdout, stderr = run(capsys, "test", a, b, "--test", "kw", *flags,
+                                   "--config", cfg, "--out", out)
+        assert code == 1 and stdout == ""
+        assert stderr == ("error: --field and --keyword split one dataset; "
+                          "several datasets are the groups themselves\n")
+        assert not out.exists()
 
     def test_wilcoxon_rejects_three_groups(self, tmp_path, capsys):
         rows, cols = ["X"], ["s1", "s2"]

@@ -11,6 +11,7 @@ import ast
 import contextlib
 import io
 import json
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -77,7 +78,7 @@ def base_argv(command, i, out):
 
 def option_values(i, out):
     """A value for each option that takes a value and has no choices."""
-    return {"seed": 9, "threads": 2, "name": "renamed", "chunk": 3,
+    return {"seed": 9, "threads": 2, "name": "renamed",
             "field": "grp", "keyword": "sel", "fdr": 0.5, "top": 3,
             "features": "g1,g2,g4", "results": str(i.ranked),
             "label_field": "grp", "out_tsv": str(out / "plot.tsv"),
@@ -168,6 +169,32 @@ def test_bad_config_value_exit_1_before_any_output(tmp_path, capsys, inputs,
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unknown_key_in_command_section_exit_1(tmp_path, capsys, inputs,
+                                               command):
+    # in the section, a key that is none of the command's options is
+    # refused ("out" is an argument, not a config key); at top level
+    # the keys are shared by every command, and one it lacks is ignored
+    out = tmp_path / "out"
+    out.mkdir()
+    for key in ("nonesuch", "chunk", "out", "config"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command: {key: 4}}))
+        code, stdout, stderr = run(capsys, command,
+                                   *base_argv(command, inputs, out),
+                                   "--config", cfg)
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: config key {key!r} is unknown in section "
+                          f"{command!r}\n")
+        assert list(out.iterdir()) == []
+    cfg.write_text(json.dumps({"nonesuch": 4, "chunk": 4, "out": 4}))
+    argv = [command, *base_argv(command, inputs, out), "--config", cfg]
+    for key, value in needed(command, None, option_values(inputs, out)).items():
+        argv += flag(command, key, value)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 0, stderr
+
+
 @pytest.mark.parametrize("config", [{"seed": 5}, {"partition": {"seed": 11}},
                                     {"seed": 5, "partition": {"seed": 11}}])
 @pytest.mark.parametrize("before", [True, False])
@@ -218,6 +245,23 @@ def readme_rows():
         lines.append(f"| `{dest}` | `{flag_}` | {kind} | {choices} "
                      f"| `{default}` | {where} |")
     return lines
+
+
+def readme_commands():
+    """The argument list of each ``rankmerge`` command in README's
+    walkthrough, its backslash continuations joined."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("rankmerge ")]
+
+
+def test_readme_walkthrough_parses():
+    # a stale flag, such as a removed option, is a usage error here
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(COMMANDS)
+    parser, _ = cli._build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_readme_lists_every_config_key():

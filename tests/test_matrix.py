@@ -20,6 +20,7 @@ from rankmerge.matrix import (
     reduce_duplicates,
     select_samples,
 )
+from rankmerge.matrix import _row_iqrs
 from rankmerge.rstats import heterogeneity_split
 
 NA = math.nan
@@ -223,6 +224,89 @@ def reduce_reference(m):
     return keep
 
 
+def reduce_duplicates_reference(raw):
+    """The two-loop reduction that the one-sort version replaced, kept
+    verbatim: first-occurrence groups, then a scan of each group."""
+    order: list[str] = []
+    groups: dict[str, list[int]] = {}
+    for i, name in enumerate(raw.row_names):
+        if name not in groups:
+            groups[name] = []
+            order.append(name)
+        groups[name].append(i)
+
+    all_missing = np.isnan(raw.values).all(axis=1).tolist()
+    repeated = [i for name in order if len(groups[name]) > 1
+                for i in groups[name]]
+    iqr = dict(zip(repeated, _row_iqrs(raw.values[repeated]).tolist()))
+
+    keep: list[int] = []
+    dropped: list[str] = []
+    for name in order:
+        rows = groups[name]
+        if len(rows) == 1:
+            if all_missing[rows[0]]:
+                dropped.append(name)
+            else:
+                keep.append(rows[0])
+            continue
+        best_i = -1
+        best_iqr = -np.inf
+        for i in rows:
+            spread = iqr[i]
+            if np.isnan(spread):
+                continue  # all-missing candidates never win
+            if spread > best_iqr:
+                best_iqr = spread
+                best_i = i
+        if best_i < 0:
+            dropped.append(name)
+        else:
+            keep.append(best_i)
+
+    reduced = DataMatrix(tuple(raw.row_names[i] for i in keep),
+                         raw.col_names, raw.values[keep])
+    return reduced, dropped
+
+
+class TestReduceDuplicatesAgainstTwoLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_matrix_and_dropped_names(self, data):
+        # few names and few values, so repeats, ties, all-missing rows
+        # and infinite or NaN IQRs are common
+        width = data.draw(st.integers(0, 5))
+        cell = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf]),
+                         st.floats(-5, 5), st.just(NA))
+        spec = data.draw(st.lists(
+            st.tuples(st.sampled_from("UVWXY"),
+                      st.lists(cell, min_size=width, max_size=width)),
+            max_size=12))
+        values = np.array([vals for _, vals in spec], dtype=float)
+        m = dm([name for name, _ in spec], [f"c{j}" for j in range(width)],
+               values.reshape(len(spec), width))
+        out, dropped = reduce_duplicates(m)
+        want, want_dropped = reduce_duplicates_reference(m)
+        assert out.row_names == want.row_names
+        assert out.values.tobytes() == want.values.tobytes()
+        assert dropped == want_dropped
+
+    def test_cases_the_property_must_reach(self):
+        rows = {"single_nan_iqr": [np.inf, np.inf], "single_missing": [NA, NA],
+                "tie": [1.0, 2.0], "nan_iqr": [np.inf, np.inf],
+                "missing": [NA, NA], "wide": [0.0, 9.0]}
+        names = ["A", "B", "C", "C", "D", "D", "E", "E", "D"]
+        vals = [rows[k] for k in ("single_nan_iqr", "single_missing", "tie",
+                                  "tie", "nan_iqr", "missing", "missing",
+                                  "missing", "wide")]
+        m = dm(names, ["c1", "c2"], vals)
+        out, dropped = reduce_duplicates(m)
+        assert out.row_names == ("A", "C", "D")
+        assert out.values[2].tolist() == [0.0, 9.0]
+        assert dropped == ["B", "E"]
+        assert (out, dropped) == reduce_duplicates_reference(m)
+
+
 class TestReduceDuplicatesAgainstQuantile:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(
@@ -261,7 +345,7 @@ class TestMergeData:
         a = dm(["A", "B", "C"], ["a1", "a2"], [[1, 2], [3, 4], [5, 6]])
         b = dm(["B", "C", "D"], ["b1", "b2", "b3"],
                [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        out = merge_data([a, b])
+        out = merge_data([a, b], prefixes=["a", "b"])
         assert out.row_names == ("B", "C")
         assert out.n_cols == 5
 
@@ -275,33 +359,43 @@ class TestMergeData:
     def test_large_common_symbol_count(self):
         syms = [f"g{i:05d}" for i in range(15562)]
         mats = [dm(syms, [f"d{k}"], [[float(k)]] * len(syms)) for k in range(3)]
-        out = merge_data(mats)
+        out = merge_data(mats, prefixes=["x", "y", "z"])
         assert out.n_rows == 15562
 
     def test_column_collision_named(self):
         a = dm(["A"], ["c1"], [[1]])
-        with pytest.raises(ValueError, match="c1"):
-            merge_data([a, a])
+        with pytest.raises(ValueError, match="duplicate sample name after "
+                                             "merge: 'p:c1'"):
+            merge_data([a, a], prefixes=["p", "p"])
+
+    def test_info_collision_named_as_data_collision(self):
+        # "a" + "b:c" and "a:b" + "c" both make "a:b:c"
+        a = InfoMatrix(("f",), ("b:c",), (("x",),))
+        b = InfoMatrix(("f",), ("c",), (("y",),))
+        with pytest.raises(ValueError, match="duplicate sample name after "
+                                             "merge: 'a:b:c'"):
+            merge_info([a, b], prefixes=["a", "a:b"])
 
 
 class TestMergeInfo:
     def test_field_union_first_seen(self):
         a = InfoMatrix(("tissue",), ("a1",), (("breast",),))
         b = InfoMatrix(("tissue", "disease"), ("b1",), (("ovary",), ("ALL",)))
-        out = merge_info([a, b])
+        out = merge_info([a, b], prefixes=["a", "b"])
+        assert out.col_names == ("a:a1", "b:b1")
         assert out.field_names == ("tissue", "disease")
         assert out.field("disease") == ("", "ALL")
 
     def test_identical_fields_concatenated(self):
         a = InfoMatrix(("f",), ("a1",), (("x",),))
         b = InfoMatrix(("f",), ("b1",), (("y",),))
-        out = merge_info([a, b])
+        out = merge_info([a, b], prefixes=["a", "b"])
         assert out.field("f") == ("x", "y")
 
     def test_disjoint_fields(self):
         a = InfoMatrix(("a",), ("a1",), (("x",),))
         b = InfoMatrix(("b",), ("b1",), (("y",),))
-        out = merge_info([a, b])
+        out = merge_info([a, b], prefixes=["a", "b"])
         assert out.field("a") == ("x", "")
         assert out.field("b") == ("", "y")
 
@@ -497,8 +591,10 @@ class TestMergeProperties:
             mats.append(dm(rows, [f"m{k}c{j}" for j in range(2)],
                            [[float(k), float(j)] for j, _ in enumerate(rows)]))
         try:
-            left = merge_data([merge_data(mats[:2]), mats[2]])
-            right = merge_data([mats[0], merge_data(mats[1:])])
+            left = merge_data([merge_data(mats[:2], ["a", "b"]), mats[2]],
+                              ["ab", "c"])
+            right = merge_data([mats[0], merge_data(mats[1:], ["b", "c"])],
+                               ["a", "bc"])
         except NoCommonFeaturesError:
             return
         assert set(left.row_names) == set(right.row_names)

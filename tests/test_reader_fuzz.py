@@ -218,7 +218,8 @@ CONFIG_TEXT = json.dumps({"seed": 3, "threads": 2, "test": {"fdr": 0.1},
 
 def refused(config: dict) -> bool:
     """Whether ``config`` gives an option of split-het (--seed, --threads)
-    a value that does not match its declaration."""
+    a value that does not match its declaration, or has a key in the
+    split-het section that is neither."""
     _, commands = _build_parser()
     try:
         _resolve_options(argparse.Namespace(command="split-het"), config,
@@ -242,8 +243,11 @@ def test_config_bytes(tmp_path, bases, data):
 
 
 # near-valid configs whose values parse as JSON but fail the declaration
-# of split-het's --seed or --threads: 1e999 reads as inf, quotes make a string
+# of split-het's --seed or --threads: 1e999 reads as inf, quotes make a
+# string; or whose split-het section has a key that is no option of it
 @pytest.mark.parametrize("text, key", [
+    ('{"split-het": {"chunk": 4}}', "chunk"),
+    ('{"split-het": {"feature": "A"}}', "feature"),
     ('{"seed": 31e999}', "seed"),
     ('{"seed": "3"}', "seed"),
     ('{"seed": 3.5}', "seed"),

@@ -286,7 +286,8 @@ def test_enrichment_computes_each_log_choose_once(monkeypatch):
 def test_enrich_command_writes_reference_bytes(tmp_path, capsys):
     table = apply_fdr(tables()["kw"])
     results = tmp_path / "r.tsv"
-    write_results_tsv(table, results)
+    with open(results, "w", encoding="utf-8", newline="\n") as fh:
+        write_results_tsv(table, fh)
     rng = np.random.default_rng(8)
     gmt = tmp_path / "s.gmt"
     gmt.write_text("".join(
@@ -329,15 +330,15 @@ def test_table_is_a_sequence_of_row_views():
         table[len(rows)]
 
 
-def test_list_in_gives_list_out():
+def test_any_sequence_in_gives_table_out():
     rows = hand_rows()
-    assert isinstance(apply_fdr(rows), list)
-    assert isinstance(rank_features(rows), list)
-    assert isinstance(significant_features(apply_fdr(rows), 0.5), list)
-    table = ResultTable.of(rows)
-    assert isinstance(apply_fdr(table), ResultTable)
-    assert isinstance(rank_features(table), ResultTable)
-    assert isinstance(significant_features(apply_fdr(table), 0.5), ResultTable)
+    for given in (rows, tuple(rows), ResultTable.of(rows)):
+        adjusted = apply_fdr(given)
+        for out in (adjusted, rank_features(given),
+                    significant_features(adjusted, 0.5)):
+            assert isinstance(out, ResultTable)
+        rows_equal(list(adjusted), ref_apply_fdr(rows))
+        rows_equal(list(rank_features(given)), ref_rank_features(rows))
 
 
 def test_significant_features_needs_fdr_on_the_table():

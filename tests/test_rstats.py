@@ -20,6 +20,7 @@ from rankmerge.numerics import LogP
 from rankmerge.rstats import TestResult as Result
 from rankmerge.rstats import (
     GeneSet,
+    ResultTable,
     apply_fdr,
     benjamini_yekutieli,
     correlation_threshold,
@@ -266,21 +267,41 @@ class TestPairwise:
             oracle = np.corrcoef(ranks(x), ranks(y))[0, 1]
             assert r == pytest.approx(oracle, abs=1e-12)
 
-    def test_threads_do_not_change_emission(self):
+    def test_threads_do_not_change_emission(self, monkeypatch):
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 5)
         rng = np.random.default_rng(9)
         vals = rng.normal(size=(37, 8))
         m = dm([f"r{i}" for i in range(37)], [f"c{j}" for j in range(8)], vals)
-        seq, _ = collect_pairs(m, threads=1, chunk=5)
-        par, _ = collect_pairs(m, threads=4, chunk=5)
+        seq, _ = collect_pairs(m, threads=1)
+        par, _ = collect_pairs(m, threads=4)
         assert seq == par
 
-    def test_chunk_size_does_not_change_emission(self):
+    def test_chunk_size_does_not_change_emission(self, monkeypatch):
         rng = np.random.default_rng(10)
         vals = rng.normal(size=(11, 6))
         m = dm([f"r{i}" for i in range(11)], [f"c{j}" for j in range(6)], vals)
-        small, _ = collect_pairs(m, chunk=2)
-        large, _ = collect_pairs(m, chunk=512)
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 2)
+        small, _ = collect_pairs(m)
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 512)
+        large, _ = collect_pairs(m)
         assert small == large
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["dense", "missing"])
+    @pytest.mark.parametrize("block_rows", [7, None])
+    def test_every_block_holds_at_most_block_rows(self, missing, block_rows,
+                                                  monkeypatch):
+        # the documented memory bound, O(_BLOCK_ROWS x rows): each block
+        # is at most _BLOCK_ROWS rows against their later rows, and the
+        # blocks tile the rows in order
+        if block_rows is not None:
+            monkeypatch.setattr(rstats, "_BLOCK_ROWS", block_rows)
+        m = _memory_case(missing)
+        n, starts = m.n_rows, []
+        for s, r, keep in rstats._correlation_blocks(m, "pearson", 1):
+            assert r.shape == keep.shape == (min(rstats._BLOCK_ROWS, n - s), n - s)
+            starts.append(s)
+        assert starts == list(range(0, n, rstats._BLOCK_ROWS))
+        assert rstats._BLOCK_ROWS == (block_rows or 256)
 
     def test_nan_path_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -302,12 +323,13 @@ class TestPairwise:
     @pytest.mark.parametrize("method, scalar",
                              [("pearson", pearson), ("spearman", spearman)])
     def test_agrees_with_scalar_function_on_missing_and_ties(self, method,
-                                                             scalar):
+                                                             scalar, monkeypatch):
         rng = np.random.default_rng(13)
         vals = np.round(rng.normal(scale=0.1, size=(30, 7)), 1)
         vals[rng.random(vals.shape) < 0.3] = NA
         m = dm([f"r{i}" for i in range(30)], [f"c{j}" for j in range(7)], vals)
-        got, res = collect_pairs(m, method=method, chunk=4)
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 4)
+        got, res = collect_pairs(m, method=method)
         want, reasons = [], set()
         for i, j in combinations(range(30), 2):
             try:
@@ -384,14 +406,15 @@ class TestPairwise:
             assert abs(g[2] - w[2]) <= 1e-12
 
     @pytest.mark.parametrize("missing", [False, True])
-    def test_memory_holds_one_block(self, missing):
+    def test_memory_holds_one_block(self, missing, monkeypatch):
         # at 3,000 rows the upper triangle of r is 36 MB, and a block of
         # 64 rows against every partner 1.5 MB.  Most rows are constant,
         # so few pairs reach the sink, but every block product is formed.
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 64)
         m = _memory_case(missing)
         tracemalloc.start()
         try:
-            res = pairwise_row_correlations(m, lambda a, b, r: None, chunk=64)
+            res = pairwise_row_correlations(m, lambda a, b, r: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,11 +426,12 @@ class TestPairwise:
 # pairwise text
 # ---------------------------------------------------------------------------
 
-def _pairwise_case(kind):
-    """(matrix, method, chunk) of one byte-identity case."""
+def _pairwise_case(kind, monkeypatch):
+    """(matrix, method) of one byte-identity case, with its block size
+    set in ``_BLOCK_ROWS``."""
     rng = np.random.default_rng(15)
     vals = rng.normal(size=(29, 8))
-    method, chunk = "pearson", 5
+    method, block_rows = "pearson", 5
     if kind == "missing":
         vals[rng.random(vals.shape) < 0.2] = NA
     elif kind == "spearman_ties":
@@ -415,14 +439,15 @@ def _pairwise_case(kind):
         vals[rng.random(vals.shape) < 0.1] = NA
         method = "spearman"
     elif kind == "chunk_not_dividing":
-        chunk = 7
+        block_rows = 7
     elif kind == "no_kept_partners":
         # rows 20 and up are constant, so row 19 keeps no partner
         vals[20:] = 1.0
     elif kind == "one_task":
-        vals, chunk = vals[:6], 256
+        vals, block_rows = vals[:6], 256
+    monkeypatch.setattr(rstats, "_BLOCK_ROWS", block_rows)
     names = [f"r{i}" for i in range(len(vals))]
-    return dm(names, [f"c{j}" for j in range(vals.shape[1])], vals), method, chunk
+    return dm(names, [f"c{j}" for j in range(vals.shape[1])], vals), method
 
 
 def _reference_text(m, **kw):
@@ -431,7 +456,8 @@ def _reference_text(m, **kw):
 
 
 def _die_on_second_task(names, r, keep):
-    # with 40 pairs per task and chunk 5, the second task starts at row r1
+    # with 40 pairs per task and blocks of 5 rows, the second task starts
+    # at row r1
     if names[0] == "r1":
         os._exit(1)
     return rstats._pair_lines(names, r, keep)
@@ -465,18 +491,18 @@ class TestWritePairwiseText:
     def test_bytes_match_sink_reference(self, kind, task_pairs, monkeypatch):
         # 40 pairs per task splits each block into tasks of one row
         monkeypatch.setattr(rstats, "_TASK_PAIRS", task_pairs)
-        m, method, chunk = _pairwise_case(kind)
-        want, want_res = _reference_text(m, method=method, chunk=chunk)
+        m, method = _pairwise_case(kind, monkeypatch)
+        want, want_res = _reference_text(m, method=method)
         assert want
         for threads in (1, 2, 3):
             buf = io.StringIO()
-            res = write_pairwise_text(m, buf, method, chunk, threads)
+            res = write_pairwise_text(m, buf, method, threads=threads)
             assert buf.getvalue() == want
             assert res == want_res
 
-    def test_no_kept_partners_case_has_such_a_row(self):
-        m, method, chunk = _pairwise_case("no_kept_partners")
-        got, _ = collect_pairs(m, method=method, chunk=chunk)
+    def test_no_kept_partners_case_has_such_a_row(self, monkeypatch):
+        m, method = _pairwise_case("no_kept_partners", monkeypatch)
+        got, _ = collect_pairs(m, method=method)
         assert "r18" in {a for a, _, _ in got}
         assert "r19" not in {a for a, _, _ in got}
 
@@ -486,10 +512,10 @@ class TestWritePairwiseText:
         monkeypatch.setattr(rstats, "_pool", lambda workers: ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("spawn")))
         monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
-        m, method, chunk = _pairwise_case("missing")
+        m, method = _pairwise_case("missing", monkeypatch)
         buf = io.StringIO()
-        write_pairwise_text(m, buf, method, chunk, threads=2)
-        assert buf.getvalue() == _reference_text(m, method=method, chunk=chunk)[0]
+        write_pairwise_text(m, buf, method, threads=2)
+        assert buf.getvalue() == _reference_text(m, method=method)[0]
 
     @pytest.mark.parametrize("kind, cpus, workers",
                              [("dense", 7, 6), ("dense", 4, 4), ("one_task", 7, 1)])
@@ -499,38 +525,52 @@ class TestWritePairwiseText:
         sizes = []
         monkeypatch.setattr(rstats, "_pool", lambda w: _InlinePool(sizes, w))
         monkeypatch.setattr(rstats.os, "cpu_count", lambda: cpus)
-        m, method, chunk = _pairwise_case(kind)
+        m, method = _pairwise_case(kind, monkeypatch)
         buf = io.StringIO()
-        write_pairwise_text(m, buf, method, chunk, threads=10 ** 9)
+        write_pairwise_text(m, buf, method, threads=10 ** 9)
         assert sizes == ([workers] if workers > 1 else [])
-        assert buf.getvalue() == _reference_text(m, method=method, chunk=chunk)[0]
+        assert buf.getvalue() == _reference_text(m, method=method)[0]
 
     def test_dead_worker_raises(self, monkeypatch):
         monkeypatch.setattr(rstats, "_TASK_PAIRS", 40)
         monkeypatch.setattr(rstats, "_pair_lines", _die_on_second_task)
         monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
-        m, method, chunk = _pairwise_case("dense")
+        m, method = _pairwise_case("dense", monkeypatch)
         with pytest.raises(ChildProcessError, match="pairwise text formatter") as exc:
-            write_pairwise_text(m, io.StringIO(), method, chunk, threads=2)
+            write_pairwise_text(m, io.StringIO(), method, threads=2)
         assert isinstance(exc.value.__cause__, BrokenProcessPool)
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("call", [
+        lambda m: write_pairwise_text(m, io.StringIO(), "pearson", 256),
+        lambda m: write_pairwise_text(m, io.StringIO(), chunk=256),
+        lambda m: pairwise_row_correlations(m, print, "pearson", 256),
+        lambda m: pairwise_row_correlations(m, print, chunk=256),
+    ])
+    def test_block_size_is_no_argument(self, call, monkeypatch):
+        # a block size passed where it used to go is never read as a
+        # worker count
+        m, _ = _pairwise_case("dense", monkeypatch)
+        with pytest.raises(TypeError):
+            call(m)
 
     def test_one_thread_starts_no_pool(self, monkeypatch):
         def no_pool(workers):
             raise AssertionError("a pool was started")
         monkeypatch.setattr(rstats, "_pool", no_pool)
-        m, method, chunk = _pairwise_case("dense")
-        write_pairwise_text(m, io.StringIO(), method, chunk, threads=1)
+        m, method = _pairwise_case("dense", monkeypatch)
+        write_pairwise_text(m, io.StringIO(), method, threads=1)
 
     @pytest.mark.parametrize("missing", [False, True])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_memory_holds_one_block(self, missing, threads):
+    def test_memory_holds_one_block(self, missing, threads, monkeypatch):
         # as TestPairwise.test_memory_holds_one_block, through the text
         # writer; the lines in flight stay within the same bound
+        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 64)
         m = _memory_case(missing)
         tracemalloc.start()
         try:
-            res = write_pairwise_text(m, _Discard(), chunk=64, threads=threads)
+            res = write_pairwise_text(m, _Discard(), threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -837,13 +877,17 @@ class TestApplyFdrAndSelection:
         assert adj[2].p_adjusted is None
 
     def test_adjusting_keeps_every_other_field(self):
-        before = self.results()
-        after = apply_fdr(before)
-        for b, a in zip(before, after):
-            assert (a.feature, a.statistic, a.p_raw, a.direction) \
-                == (b.feature, b.statistic, b.p_raw, b.direction)
-        assert after[1].p_adjusted.p == pytest.approx(0.5 * 1.5, rel=1e-12)
-        assert after[2] is before[2]
+        # any sequence in, a table out: a list of rows or a table
+        before = ResultTable.of(self.results())
+        for given in (self.results(), before):
+            after = apply_fdr(given)
+            assert isinstance(after, ResultTable)
+            assert after.features == before.features
+            for column in ("statistic", "ln_p", "direction"):
+                assert getattr(after, column).tobytes() \
+                    == getattr(before, column).tobytes()
+            assert after[1].p_adjusted.p == pytest.approx(0.5 * 1.5, rel=1e-12)
+            assert after[2].p_raw is None and after[2].p_adjusted is None
 
     def test_significant_strict_threshold(self):
         rs = [Result("x", 1.0, LogP.from_p(0.04), LogP.from_p(0.04), "over"),
@@ -853,7 +897,8 @@ class TestApplyFdrAndSelection:
 
     def test_boundary_excluded(self):
         rs = [Result("x", 1.0, LogP.from_p(0.05), LogP.from_p(0.05), "over")]
-        assert significant_features(rs, 0.05) == []
+        out = significant_features(rs, 0.05)
+        assert isinstance(out, ResultTable) and len(out) == 0
 
     def test_missing_fdr_rejected(self):
         rs = [Result("x", 1.0, LogP.from_p(0.01), None, "over")]
@@ -861,7 +906,8 @@ class TestApplyFdrAndSelection:
             significant_features(rs, 0.05)
 
     def test_empty_input_empty_output(self):
-        assert significant_features([], 0.05) == []
+        out = significant_features([], 0.05)
+        assert isinstance(out, ResultTable) and len(out) == 0
 
 
 class TestRankFeatures:
