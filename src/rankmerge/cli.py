@@ -16,6 +16,10 @@ and --config are accepted before or after the command name.  --threads N
 formats the text of pairwise in N worker processes (other commands
 ignore it); the output bytes are the same for any N.
 
+A usage fault the command line alone shows, such as test's --field with
+several datasets or pca's --top without --results, is refused (exit 1)
+before any input is read, so an unreadable input never hides it.
+
 Exit codes: 0 success, 1 usage or generic data error, 2 input parse
 error, 3 annotation failure, 4 dataset already scored, 5 no common
 features, 6 degenerate grouping, 7 unknown feature symbol, 8 empty
@@ -59,6 +63,7 @@ from .errors import (
     ParseError,
 )
 from .ingest import (
+    MULTI_POLICIES,
     annotate,
     load_dataset,
     open_text,
@@ -68,6 +73,8 @@ from .ingest import (
     text_lines,
 )
 from .matrix import (
+    MATCH_MODES,
+    RANK_SCORES,
     Dataset,
     common_rows,
     exclude_samples,
@@ -79,6 +86,8 @@ from .matrix import (
 )
 from .multivar import factor_plot_medians, pca, project_first_plane
 from .rstats import (
+    CORRELATION_METHODS,
+    RANK_KEYS,
     apply_fdr,
     benjamini_yekutieli,
     correlation_threshold,
@@ -92,7 +101,7 @@ from .rstats import (
     rank_features,
     sample_groups,
     significant_features,
-    wilcoxon_group_vs_rest,
+    wilcoxon_group_vs_rest,  # unused; bench/run.py wraps this cli name
     wilcoxon_per_feature,
     write_pairwise_text,
     write_results_tsv,
@@ -416,42 +425,35 @@ _EXACT = {"auto": None, "on": True, "off": False}
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    alternative = _ALTERNATIVES[args.alternative]
-    exact = _EXACT[args.exact]
-
     if len(args.datasets) == 1:
         if args.field is None:
             raise _UsageError("a single dataset needs --field to form groups")
-        ds = load_dataset(args.datasets[0])
         if args.test == "wilcoxon" and args.keyword is None:
             raise _UsageError("--test wilcoxon needs --keyword "
                               "to pick the comparison group")
+    elif args.field is not None or args.keyword is not None:
+        raise _UsageError("--field and --keyword split one dataset; "
+                          "several datasets are the groups themselves")
+    elif args.test == "wilcoxon" and len(args.datasets) != 2:
+        raise _UsageError("--test wilcoxon compares exactly two dataset groups")
+
+    dsets = [load_dataset(p) for p in args.datasets]
+    if len(dsets) == 1:
         try:
-            if args.test == "wilcoxon":
-                results = wilcoxon_group_vs_rest(ds, args.field, args.keyword,
-                                                 alternative, args.mode, exact)
-            else:
-                groups = sample_groups(ds, args.field, args.keyword, args.mode)
+            groups = sample_groups(dsets[0], args.field, args.keyword, args.mode)
         except ValueError as exc:
             raise DegenerateDataError(str(exc)) from None
-        if args.test == "kw":
-            results = kw_per_feature(groups)
     else:
-        if args.field is not None or args.keyword is not None:
-            raise _UsageError("--field and --keyword split one dataset; "
-                              "several datasets are the groups themselves")
-        dsets = [load_dataset(p) for p in args.datasets]
         empty = [d.name for d in dsets if d.n_samples == 0]
         if empty:
             raise DegenerateDataError(f"empty group dataset {empty[0]!r}")
-        if args.test == "wilcoxon":
-            if len(dsets) != 2:
-                raise _UsageError("--test wilcoxon compares exactly "
-                                  "two dataset groups")
-            results = wilcoxon_per_feature(dsets[0].data, dsets[1].data,
-                                           alternative, exact)
-        else:
-            results = kw_per_feature([d.data for d in dsets])
+        groups = [d.data for d in dsets]
+
+    if args.test == "kw":
+        results = kw_per_feature(groups)
+    else:
+        results = wilcoxon_per_feature(*groups, _ALTERNATIVES[args.alternative],
+                                       _EXACT[args.exact])
 
     adjusted = apply_fdr(results)
     ranked = rank_features(adjusted, by=args.rank_by)
@@ -480,6 +482,7 @@ def _feature_list(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_pca(args: argparse.Namespace) -> int:
+    wanted = _feature_list(args)
     dsets = [load_dataset(p) for p in args.datasets]
     ds = dsets[0] if len(dsets) == 1 else merge_datasets(dsets)
     if args.label_field is not None:
@@ -487,7 +490,6 @@ def cmd_pca(args: argparse.Namespace) -> int:
     else:
         labels = [d.name for d in dsets for _ in range(d.n_samples)]
 
-    wanted = _feature_list(args)
     _check_features(wanted, ds.data.row_names)
     x = ds.data.take_rows(wanted).values.T
     result = pca(x, scale=args.scale)
@@ -592,13 +594,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("annotation", help="probe-to-symbol TSV")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--multi-policy", dest="multi_policy",
-                   choices=("first", "drop"), default="first",
+                   choices=MULTI_POLICIES, default="first",
                    help="multi-symbol probes: keep first symbol or drop")
     p.add_argument("--name", help="dataset name (default: series file stem)")
 
     p = add("score", cmd_score, "replace values by per-column rank scores")
     p.add_argument("dataset")
-    p.add_argument("--kind", required=True, choices=("ecdf", "vdw"))
+    p.add_argument("--kind", required=True, choices=RANK_SCORES)
     p.add_argument("--out", required=True)
 
     p = add("merge", cmd_merge, "merge datasets on common features")
@@ -611,8 +613,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("dataset")
     p.add_argument("--field", required=True)
     p.add_argument("--keyword", required=True)
-    p.add_argument("--mode", choices=("exact", "substring"),
-                   default="substring")
+    p.add_argument("--mode", choices=MATCH_MODES, default="substring")
     p.add_argument("--invert", action="store_true",
                    help="drop matching samples instead")
     p.add_argument("--out", required=True)
@@ -629,14 +630,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add("median-cor", cmd_median_cor,
             "correlation matrix of dataset median profiles")
     p.add_argument("datasets", nargs="+")
-    p.add_argument("--method", choices=("pearson", "spearman"),
-                   default="pearson")
+    p.add_argument("--method", choices=CORRELATION_METHODS, default="pearson")
     p.add_argument("--out", required=True)
 
     p = add("pairwise", cmd_pairwise, "stream all row-pair correlations")
     p.add_argument("dataset")
-    p.add_argument("--method", choices=("pearson", "spearman"),
-                   default="pearson")
+    p.add_argument("--method", choices=CORRELATION_METHODS, default="pearson")
     p.add_argument("--out", required=True)
 
     p = add("test", cmd_test, "per-feature group tests with FDR control")
@@ -647,16 +646,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--keyword",
                    help="compare the samples matching it against the rest "
                         "(default: one group per field value)")
-    p.add_argument("--mode", choices=("exact", "substring"),
-                   default="substring")
+    p.add_argument("--mode", choices=MATCH_MODES, default="substring")
     p.add_argument("--alternative", choices=_ALTERNATIVES, default="greater",
                    help="one-sided direction for wilcoxon")
     p.add_argument("--exact", choices=_EXACT, default="auto",
                    help="wilcoxon exact enumeration")
     p.add_argument("--fdr", type=float, default=0.05,
                    help="significance threshold on adjusted p")
-    p.add_argument("--rank-by", dest="rank_by", choices=("p", "statistic"),
-                   default="p")
+    p.add_argument("--rank-by", dest="rank_by", choices=RANK_KEYS, default="p")
     p.add_argument("--out", required=True)
 
     p = add("pca", cmd_pca, "scatter samples on the first principal plane")

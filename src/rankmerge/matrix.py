@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import NoCommonFeaturesError
 
-SCORE_KINDS = ("none", "ecdf", "vdw")
+RANK_SCORES = ("ecdf", "vdw")
+SCORE_KINDS = ("none", *RANK_SCORES)
+MATCH_MODES = ("exact", "substring")
 
 
 def _as_name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:
@@ -355,7 +357,7 @@ def merge_datasets(datasets: Sequence[Dataset], name: str | None = None) -> Data
 # ---------------------------------------------------------------------------
 
 def _match_mask(ds: Dataset, field_name: str, keyword: str, mode: str) -> list[bool]:
-    if mode not in ("exact", "substring"):
+    if mode not in MATCH_MODES:
         raise ValueError(f"mode must be 'exact' or 'substring', got {mode!r}")
     if field_name not in ds.info.field_names:
         raise KeyError(

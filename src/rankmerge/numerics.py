@@ -61,14 +61,7 @@ class LogP:
     ln_p: float
 
     def __post_init__(self):
-        lp = float(self.ln_p)
-        if math.isnan(lp) or lp == -math.inf:
-            raise ValueError(f"log probability must be finite, got {lp!r}")
-        if lp > 0.0:
-            if lp > _LN_ONE_SLACK:
-                raise ValueError(f"log probability must be <= 0, got {lp!r}")
-            lp = 0.0
-        object.__setattr__(self, "ln_p", lp)
+        object.__setattr__(self, "ln_p", checked_ln_p(float(self.ln_p)).item())
 
     @classmethod
     def from_p(cls, p: float) -> "LogP":
@@ -104,13 +97,10 @@ class LogP:
         return f"LogP(ln_p={self.ln_p!r})"
 
 
-P_ONE = LogP(0.0)
-
-
 def checked_ln_p(ln_p) -> np.ndarray:
-    """An array of log probabilities under :class:`LogP`'s rules: NaN,
-    -inf and values above the rounding slack raise; values in (0, slack]
-    become 0.0."""
+    """An array of log probabilities, checked: NaN, -inf and values
+    above the rounding slack raise; values in (0, slack] become 0.0.
+    :class:`LogP` holds one value under the same rules."""
     lp = np.asarray(ln_p, dtype=float)
     bad = np.isnan(lp) | (lp == -math.inf)
     if bad.any():
@@ -119,6 +109,9 @@ def checked_ln_p(ln_p) -> np.ndarray:
         raise ValueError(f"log probability must be <= 0, "
                          f"got {lp[lp > _LN_ONE_SLACK][0].item()!r}")
     return np.where(lp > 0.0, 0.0, lp)
+
+
+P_ONE = LogP(0.0)
 
 
 def _each(f, x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .ingest import read_tab_table, text_lines
 from .matrix import (DataMatrix, Dataset, common_rows, exclude_samples,
                      median_column, select_samples)
 from .numerics import (
-    LINEAR_P_FLOOR,
+    _LN_P_FLOOR,
     LogP,
     P_ONE,
     checked_ln_p,
@@ -43,6 +43,7 @@ from .numerics import (
 from .transform import rank_rows
 
 DIRECTIONS = ("over", "under", "none")
+RANK_KEYS = ("p", "statistic")  # the orders of rank_features
 _OVER, _UNDER, _NONE = range(len(DIRECTIONS))
 
 
@@ -189,6 +190,7 @@ def correlation_threshold(n: int, alpha: float = 0.05, sided: str = "one") -> fl
 
 
 _CORR_FUNCS: dict[str, Callable] = {"pearson": pearson, "spearman": spearman}
+CORRELATION_METHODS = tuple(_CORR_FUNCS)
 
 
 def median_correlation(x, y, method: str = "pearson") -> float:
@@ -351,7 +353,7 @@ def _correlation_blocks(m: DataMatrix, method: str, threads: int):
     """Check the arguments now; then yield (s, r, keep) per block of
     :data:`_BLOCK_ROWS` rows s:e, with r and keep of rows s:e against
     rows s:."""
-    if method not in _CORR_FUNCS:
+    if method not in CORRELATION_METHODS:
         raise ValueError(f"unknown correlation method {method!r}")
     if m.n_cols < 3:
         raise ValueError("need at least 3 columns")
@@ -438,6 +440,14 @@ def _pooled_ranks(groups: Sequence[np.ndarray]):
             [(~np.isnan(p)).sum(axis=1) for p in parts], n, tie_sum, tie)
 
 
+def _aligned(groups: Sequence[DataMatrix]) -> tuple[list[str], list[np.ndarray]]:
+    """The features common to ``groups`` and each group's values on them,
+    uncopied where a group's rows already are those features."""
+    features = common_rows(groups)
+    return features, [g.values if g.row_names == tuple(features)
+                      else g.take_rows(features).values for g in groups]
+
+
 def _results(features: Sequence[str], statistic: np.ndarray, why: np.ndarray,
              direction: str, ln_p: Callable[[np.ndarray], np.ndarray]) -> ResultTable:
     """The per-feature table: a reason in ``why`` means no p-value;
@@ -504,8 +514,7 @@ def kw_per_feature(group_matrices: Sequence[DataMatrix]) -> ResultTable:
     """
     if len(group_matrices) < 2:
         raise ValueError("need at least two group matrices")
-    features = common_rows(group_matrices)
-    return _kw_results(features, [m.take_rows(features).values for m in group_matrices])[0]
+    return _kw_results(*_aligned(group_matrices))[0]
 
 
 ALTERNATIVES = ("A_greater", "A_less")
@@ -589,8 +598,7 @@ def wilcoxon_per_feature(group_a: DataMatrix, group_b: DataMatrix,
                          exact: bool | None = None) -> ResultTable:
     """Per-feature one-sided Wilcoxon of two groups on their common
     features; degenerate features get no p-value."""
-    features = common_rows([group_a, group_b])
-    a, b = (m.take_rows(features).values for m in (group_a, group_b))
+    features, (a, b) = _aligned([group_a, group_b])
     return _wilcoxon_results(features, a, b, alternative, exact)[0]
 
 
@@ -693,7 +701,7 @@ def rank_features(results: Sequence[TestResult], by: str = "p") -> ResultTable:
     tests the sign is respected, so an "under" test ranks its most
     negative statistics first.  Degenerate entries always sort last.
     """
-    if by not in ("p", "statistic"):
+    if by not in RANK_KEYS:
         raise ValueError(f"by must be 'p' or 'statistic', got {by!r}")
     if not results:
         raise ValueError("no results to rank")
@@ -814,7 +822,6 @@ RESULT_COLUMNS = ("feature", "statistic", "p_raw", "log10_p_raw",
                   "p_adj", "log10_p_adj", "direction")
 
 _LN10 = math.log(10.0)
-_LN_P_FLOOR = math.log(LINEAR_P_FLOOR)
 
 
 def _cells(values, spec: str, marks: dict[str, np.ndarray]) -> list[str]:

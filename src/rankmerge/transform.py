@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AlreadyScoredError
-from .matrix import DataMatrix, Dataset
+from .matrix import RANK_SCORES, DataMatrix, Dataset
 from .numerics import inv_norm_cdf
 
 # cells per kernel block: its temporaries stay small, and so does peak RSS
@@ -120,7 +120,7 @@ def vdw_score(column) -> np.ndarray:
 
 def score_matrix(m: DataMatrix, kind: str) -> DataMatrix:
     """Apply a rank score to every column independently."""
-    if kind not in ("ecdf", "vdw"):
+    if kind not in RANK_SCORES:
         raise ValueError(f"unknown score kind {kind!r}; expected 'ecdf' or 'vdw'")
     return DataMatrix(m.row_names, m.col_names, _row_scores(m.values.T, kind).T)
 

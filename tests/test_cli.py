@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import multiprocessing
@@ -405,10 +406,10 @@ def two_group_dataset(root, planted="g4", n_feat=20, per_group=6, seed=8):
 
 
 class TestTestCommand:
-    def test_single_dataset_needs_field(self, tmp_path, capsys):
-        ds = two_group_dataset(tmp_path)
-        code, _, stderr = run(capsys, "test", ds, "--test", "kw",
-                              "--out", tmp_path / "r.tsv")
+    def test_single_dataset_needs_field(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", None)  # none may be read
+        code, _, stderr = run(capsys, "test", tmp_path / "missing", "--test",
+                              "kw", "--out", tmp_path / "r.tsv")
         assert code == 1 and "--field" in stderr
 
     @pytest.mark.parametrize("command", ["test", "select"])
@@ -465,10 +466,11 @@ class TestTestCommand:
         assert ranked[0].feature == "g4" and ranked[0].direction == "over"
 
     def test_wilcoxon_needs_keyword_for_single_dataset(self, tmp_path,
-                                                       capsys):
-        ds = two_group_dataset(tmp_path)
-        code, _, stderr = run(capsys, "test", ds, "--test", "wilcoxon",
-                              "--field", "grp", "--out", tmp_path / "r.tsv")
+                                                       capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", None)  # none may be read
+        code, _, stderr = run(capsys, "test", tmp_path / "missing", "--test",
+                              "wilcoxon", "--field", "grp",
+                              "--out", tmp_path / "r.tsv")
         assert code == 1 and "--keyword" in stderr
 
     def test_keyword_matching_everything_degenerate(self, tmp_path, capsys):
@@ -516,13 +518,43 @@ class TestTestCommand:
                           "several datasets are the groups themselves\n")
         assert not out.exists()
 
-    def test_wilcoxon_rejects_three_groups(self, tmp_path, capsys):
-        rows, cols = ["X"], ["s1", "s2"]
-        dirs = [make_ds(tmp_path, n, rows, cols, [[1.0, 2.0]])
-                for n in ("a", "b", "c")]
+    def test_wilcoxon_rejects_three_groups(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", None)  # none may be read
+        dirs = [tmp_path / n for n in ("a", "b", "c")]
         code, _, stderr = run(capsys, "test", *dirs, "--test", "wilcoxon",
                               "--out", tmp_path / "r.tsv")
         assert code == 1 and "two dataset groups" in stderr
+
+    def test_empty_group_dataset_degenerate(self, tmp_path, capsys):
+        a = make_ds(tmp_path, "a", ["X"], ["s1", "s2"], [[1.0, 2.0]])
+        empty = make_ds(tmp_path, "empty", ["X"], [], np.zeros((1, 0)))
+        code, _, stderr = run(capsys, "test", a, empty, "--test", "kw",
+                              "--out", tmp_path / "r.tsv")
+        assert code == 6 and "empty group dataset 'empty'" in stderr
+
+    @pytest.mark.parametrize("test", [
+        ["wilcoxon"], ["kw", "--keyword", "sel"]])
+    @pytest.mark.parametrize("rows", [sorted, list])
+    def test_keyword_split_equals_its_select_halves(self, tmp_path, capsys,
+                                                    test, rows):
+        # one dataset split by --keyword, and the same two groups passed
+        # as datasets, give the same table byte for byte
+        rng = np.random.default_rng(12)
+        vals = rng.integers(0, 4, size=(30, 14)).astype(float)
+        vals[rng.random(vals.shape) < 0.1] = NA
+        ds = make_ds(tmp_path, "d", rows(f"g{i}" for i in range(30)),
+                     [f"s{j}" for j in range(14)], vals, fields=["grp"],
+                     cells=[rng.choice(["sel", "rest"], size=14)])
+        for flag, half in (([], "a"), (["--invert"], "b")):
+            run(capsys, "select", ds, "--field", "grp", "--keyword", "sel",
+                *flag, "--out", tmp_path / half)
+        one, two = tmp_path / "one.tsv", tmp_path / "two.tsv"
+        assert run(capsys, "test", ds, "--test", *test, "--field", "grp",
+                   "--keyword", "sel", "--out", one)[0] == 0
+        assert run(capsys, "test", tmp_path / "a", tmp_path / "b", "--test",
+                   test[0], "--out", two)[0] == 0
+        assert one.read_bytes() == two.read_bytes()
 
     def test_bad_alternative_value(self, tmp_path, capsys):
         ds = two_group_dataset(tmp_path)
@@ -530,6 +562,16 @@ class TestTestCommand:
                          "--field", "grp", "--keyword", "sel",
                          "--alternative", "both", "--out", tmp_path / "r.tsv")
         assert code == 1
+
+
+def test_cli_calls_each_test_driver_once():
+    # one group-forming path feeds one call per test
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called.count("kw_per_feature") == 1
+    assert called.count("wilcoxon_per_feature") == 1
+    assert called.count("wilcoxon_group_vs_rest") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +629,23 @@ class TestPcaCommand:
                               "--top", "2", "--results", "whatever",
                               "--out-svg", tmp_path / "p.svg")
         assert code == 1 and "exactly one" in stderr
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "exactly one of --features and --top is required"),
+        (["--features", "X", "--top", "2"],
+         "exactly one of --features and --top is required"),
+        (["--features", ",,"], "--features lists no symbols"),
+        (["--top", "0", "--results", "r.tsv"], "--top must be positive"),
+        (["--top", "2"], "--top needs --results (a ranked results table)"),
+    ])
+    def test_option_misuse_refused_before_any_read(self, tmp_path, capsys,
+                                                   monkeypatch, flags,
+                                                   message):
+        monkeypatch.setattr(cli, "load_dataset", None)  # none may be read
+        monkeypatch.setattr(cli, "read_results_tsv", None)
+        code, stdout, stderr = run(capsys, "pca", tmp_path / "missing", *flags,
+                                   "--out-svg", tmp_path / "p.svg")
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
     def test_top_checked_before_the_results_are_read(self, tmp_path, capsys):
         ds = line_dataset(tmp_path)

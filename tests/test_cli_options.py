@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import shlex
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -255,13 +256,16 @@ def readme_commands():
             if line.startswith("rankmerge ")]
 
 
-def test_readme_walkthrough_parses():
-    # a stale flag, such as a removed option, is a usage error here
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # every command, in order, where the walkthrough's tests/fixtures
+    # paths resolve; each exits 0
     commands = readme_commands()
     assert {argv[0] for argv in commands} == set(COMMANDS)
-    parser, _ = cli._build_parser()
+    shutil.copytree(FIXTURES, tmp_path / "tests" / "fixtures")
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        assert parser.parse_args(argv).command == argv[0]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 0, (argv, stderr)
 
 
 def test_readme_lists_every_config_key():

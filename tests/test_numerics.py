@@ -7,14 +7,19 @@ integer binomials for log_choose.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankmerge.numerics import (
+    _LN_ONE_SLACK,
     LINEAR_P_FLOOR,
     LogP,
     P_ONE,
+    checked_ln_p,
     chi_sq_upper_tail_ln,
     inv_norm_cdf,
     log_choose,
@@ -107,6 +112,20 @@ class TestLogP:
 
     def test_rounding_slack_clamps_to_one(self):
         assert LogP(1e-12).ln_p == 0.0
+
+    @given(st.floats() | st.sampled_from([
+        _LN_ONE_SLACK, math.nextafter(_LN_ONE_SLACK, math.inf),
+        math.nextafter(_LN_ONE_SLACK, 0.0), 5e-324, 0.0, -0.0,
+        math.nan, math.inf, -math.inf]))
+    def test_accepts_rejects_and_returns_as_checked_ln_p(self, x):
+        try:
+            want = checked_ln_p(x).item()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as scalar:
+                LogP(x)
+            assert str(scalar.value) == str(exc)
+        else:
+            assert struct.pack("<d", LogP(x).ln_p) == struct.pack("<d", want)
 
     def test_underflow_flag(self):
         assert LogP(math.log(LINEAR_P_FLOOR) - 1.0).is_underflow
