@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnnotationError, ManifestError, ParseError
-from .matrix import SCORE_KINDS, DataMatrix, Dataset, InfoMatrix
+from .matrix import SCORE_KINDS, DataMatrix, Dataset, InfoMatrix, _check_unique
 
 FORMAT_VERSION = 2  # written; version 1 is still read
 
@@ -568,6 +568,7 @@ def load_dataset(path: str | Path) -> Dataset:
                                 for t in texts))
         name = V1_DATA_FILE if v1 else FEATURES_FILE
         data = _read_v1_data(root) if v1 else _read_v2_data(root, info.col_names)
+        _check_unique(data.row_names, "feature name")
         return Dataset(data, info, name=str(manifest["name"]),
                        score=manifest.get("score", "none"),
                        source=str(manifest.get("source", "")),

@@ -284,6 +284,8 @@ def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson", *,
     :func:`_pair_lines`, inline for one worker and otherwise in a pool of
     min(``threads``, CPUs, tasks) processes with at most two tasks per
     worker in flight, so the bytes are the same for any ``threads``.
+    Each r is printed with repr's bytes: for 1e-4 <= |r| < 1 numpy works
+    out the same digits exactly, and other values go through repr().
     """
     blocks = _correlation_blocks(m, method, threads)
     n = m.n_rows
@@ -334,13 +336,126 @@ def _pool(workers: int):
 def _pair_lines(names: Sequence[str], r: np.ndarray,
                 keep: np.ndarray) -> tuple[int, str]:
     """(pairs, text) of rows k of ``r`` against their later rows k + 1:,
-    where ``names[k]`` names row k (and column k) of ``r`` and ``keep``."""
-    pairs, lines = 0, []
-    for k, a in enumerate(names[:len(r)]):
-        partners, rs = _partners(names, r, keep, k)
-        lines.append("".join([f"{a}\t{b}\t{v!r}\n" for b, v in zip(partners, rs)]))
-        pairs += len(rs)
-    return pairs, "".join(lines)
+    where ``names[k]`` names row k (and column k) of ``r`` and ``keep``.
+
+    Each kept pair (k, j), in row order, gives the line
+    "names[k]<TAB>names[j]<TAB>repr(r[k, j])<NEWLINE>", with repr's bytes
+    for every value (see :func:`_repr_cells`).  The lines of up to
+    :data:`_CELL_BYTES` at a time are one byte matrix, a row per pair,
+    padded with a byte that UTF-8 never uses; dropping that byte leaves
+    each line whole, whatever a name holds (NUL included).
+    """
+    rows, cols = np.nonzero(np.triu(keep, 1))
+    name_cells = _name_cells(names)
+    step = max(1, _CELL_BYTES // (2 * name_cells.shape[1] + _REPR_WIDTH))
+    text = []
+    for i in range(0, len(rows), step):
+        k, j = rows[i:i + step], cols[i:i + step]
+        cells = np.concatenate([name_cells.take(k, axis=0), name_cells.take(j, axis=0),
+                                _repr_cells(r[k, j])], axis=1)
+        text.append(cells.tobytes().translate(None, _PAD))
+    return len(rows), b"".join(text).decode("utf-8", "surrogatepass")
+
+
+# bytes per line matrix: a long name shortens it, and at about 40 bytes
+# a line its per-pair temporaries come from the heap, not fresh pages
+_CELL_BYTES = 2 ** 19
+_PAD = b"\xff"  # never a byte of UTF-8
+
+
+def _name_cells(names: Sequence[str]) -> np.ndarray:
+    """One row per name: its UTF-8 bytes and a tab, then padding."""
+    raw = [name.encode("utf-8", "surrogatepass") + b"\t" for name in names]
+    lengths = np.fromiter(map(len, raw), np.intp, len(raw))
+    cells = np.full((len(raw), lengths.max(initial=0)), _PAD[0], np.uint8)
+    cells[np.arange(cells.shape[1]) < lengths[:, None]] = np.frombuffer(
+        b"".join(raw), np.uint8)
+    return cells
+
+
+_U64 = np.uint64
+_LOW32 = _U64(2 ** 32 - 1)
+_POW5 = np.array([5 ** q for q in range(17, 21)], dtype=_U64)
+_POW10 = np.array([1, 10, 100], dtype=_U64)
+_BYTE = {c: np.uint8(ord(c)) for c in "-0.\n"} | {"pad": np.uint8(_PAD[0])}
+_REPR_WIDTH = 25  # the longest repr of a float, "-2.2250738585072014e-308", and "\n"
+
+
+def _repr_cells(v: np.ndarray) -> np.ndarray:
+    """A (len(v), 25) byte array whose row i is repr(v[i]) and a newline,
+    then padding.
+
+    For 1e-4 <= |v| < 1 repr prints "0.", z = 0..3 zeros and the
+    shortest n digits that read back as v: the n-digit decimal nearest
+    to v when it lies within half an ulp of v (Steele & White 1990;
+    Adams, "Ryu", 2018).  With |v| = m / 2^e for the 53-bit significand
+    m, and q = 17 + z, the product m 5^q is exactly d 2^s + rem (s = e -
+    q in 36..46), formed from 32-bit limbs in uint64: d holds the 17
+    leading digits of |v| 10^q and rem / 2^s the fraction after them.
+    In units of 2^-(s+1) 10^-q the half ulp is exactly 5^q, so every
+    test below is an integer comparison.  None is ever an equality: a
+    midpoint between two doubles here has 54 or more decimal places, a
+    candidate at most 20.  17 digits always read back; 16 or 15 are
+    taken when they do.  All other values go through repr() itself: 0,
+    |v| < 1e-4, |v| >= 1, NaN, infinities, values of 14 digits or fewer
+    (every power of two of the domain among them: its interval below is
+    narrower) and a value halfway between its two nearest decimals.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1.0)
+    bits = np.where(fast, a, 0.5).view(_U64)  # off the domain: any value in it
+    zeros = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
+    m = bits & _U64(2 ** 52 - 1) | _U64(2 ** 52)
+    s = _U64(1058) - (bits >> _U64(52)) - zeros.astype(_U64)
+    p = _POW5.take(zeros)
+    m0, m1, p0, p1 = m & _LOW32, m >> _U64(32), p & _LOW32, p >> _U64(32)
+    low = m0 * p0
+    mid = m1 * p0 + m0 * p1 + (low >> _U64(32))
+    d = (m1 * p1 << _U64(64) - s) + (mid >> s - _U64(32))
+    rem = (mid & (_U64(1) << s - _U64(32)) - _U64(1)) << _U64(32) | low & _LOW32
+    s1, rem2 = s + _U64(1), rem << _U64(1)
+
+    def below(cut):
+        """|v| 10^q - (d - cut), in units of 2^-(s+1)."""
+        return (cut << s1) + rem2
+
+    def rounded(k: int):
+        """d mod 10^k, and whether d rounded to 10^k reads back."""
+        cut = d - d // _U64(10 ** k) * _U64(10 ** k)
+        gap = below(cut)
+        return cut, (gap < p) | ((_U64(10 ** k) << s1) - gap < p)
+
+    (cut1, ok1), (cut2, ok2), (_, ok3) = (rounded(k) for k in (1, 2, 3))
+    fast &= ~ok3
+    k = ok1.astype(np.intp) + ok2  # 17 - k digits
+    cut = np.where(ok2, cut2, np.where(ok1, cut1, _U64(0)))
+    unit = _POW10.take(k)
+    twice, span = below(cut) << _U64(1), unit << s1
+    fast &= twice != span
+    digits = d - cut + unit * (twice > span)
+
+    cells = np.empty((_REPR_WIDTH, len(v)), np.uint8)
+    cells[0] = np.where(v < 0, _BYTE["-"], _BYTE["pad"])
+    cells[1], cells[2] = _BYTE["0"], _BYTE["."]
+    for i in range(3):
+        cells[3 + i] = np.where(zeros > i, _BYTE["0"], _BYTE["pad"])
+    high = digits // _U64(10 ** 8)
+    for x, rows in ((digits - high * _U64(10 ** 8), range(22, 14, -1)),
+                    (high, range(14, 5, -1))):
+        x = x.astype(np.uint32)
+        for i in rows:
+            q = x // np.uint32(10)
+            cells[i] = x - q * np.uint32(10)
+            x = q
+    cells[6:23] += _BYTE["0"]
+    # rows 21 and 22 hold digits 16 and 17: padding past 17 - k
+    cells[21, k > 1] = cells[22, k > 0] = _BYTE["pad"]
+    cells[23], cells[24] = _BYTE["\n"], _BYTE["pad"]
+    slow = np.flatnonzero(~fast)
+    text = b"".join([(repr(x) + "\n").encode().ljust(_REPR_WIDTH, _PAD)
+                     for x in v[slow].tolist()])
+    cells[:, slow] = np.frombuffer(text, np.uint8).reshape(-1, _REPR_WIDTH).T
+    return cells.T
 
 
 def _partners(names: Sequence[str], r: np.ndarray, keep: np.ndarray, k: int):

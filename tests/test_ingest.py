@@ -392,10 +392,10 @@ SPECIAL = np.array([[NA, -0.0, np.inf, -np.inf, 5e-324, 0.1,
 
 class TestDataCodec:
     def test_special_values_round_trip_bitwise(self, tmp_path):
-        ds = dataset_of(SPECIAL, rows=("G", "G"))
+        ds = dataset_of(SPECIAL)
         save_dataset(ds, tmp_path / "v2")
         back = load_dataset(tmp_path / "v2")
-        assert back == ds and back.data.row_names == ("G", "G")
+        assert back == ds and back.data.row_names == ("g0", "g1")
         assert back.data.values.tobytes() == SPECIAL.tobytes()
         out = write_data(tmp_path, "feature\t" + "\t".join(ds.data.col_names)
                          + "\ng0\tNA\t-0.0\tinf\t-inf\t5e-324\t0.1"
@@ -439,7 +439,7 @@ class TestDataCodec:
         assert back.tobytes() == SPECIAL.tobytes()
 
     def test_v1_directory_loads_as_saved(self, tmp_path):
-        ds = dataset_of(SPECIAL, rows=("G", "G"))
+        ds = dataset_of(SPECIAL)
         save_dataset(ds, tmp_path / "v2")
         v1 = write_v1(ds, tmp_path / "v1")
         assert load_dataset(v1) == load_dataset(tmp_path / "v2") == ds
@@ -682,3 +682,47 @@ def test_bad_v2_directory_exit_2_in_every_command(tmp_path, capsys, case,
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: ") and "Traceback" not in stderr
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# a repeated feature name, in either format
+# ---------------------------------------------------------------------------
+
+def _repeated_feature(root, version):
+    """Features X, Y, X over four samples of fields grp, a, a, b, b."""
+    data = DataMatrix(("X", "Y", "X"), ("s1", "s2", "s3", "s4"),
+                      np.array([[1.0, 2, 3, 4], [4, 1, 3, 2], [2, 1, 4, 3]]))
+    info = InfoMatrix(("grp",), ("s1", "s2", "s3", "s4"), (("a", "a", "b", "b"),))
+    ds = Dataset(data, info, name="rep", score="none")
+    if version == 1:
+        return write_v1(ds, root), "data.tsv"
+    save_dataset(ds, root)
+    return root, "features.txt"
+
+
+REPEATED_COMMANDS = {
+    "test": ["test", "{ds}", "--test", "kw", "--field", "grp", "--out", "{out}"],
+    "pca": ["pca", "{ds}", "--features", "X,Y", "--out-svg", "{out}"],
+    "merge": ["merge", "{ds}", "{ds}", "--out", "{out}"],
+    "median-cor": ["median-cor", "{ds}", "--out", "{out}"],
+    "pairwise": ["pairwise", "{ds}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_repeated_feature_name_is_a_parse_error(tmp_path, version):
+    root, file = _repeated_feature(tmp_path / "rep", version)
+    with pytest.raises(ParseError, match=f"^{file}: duplicate feature name: 'X'$"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("command", sorted(REPEATED_COMMANDS))
+def test_repeated_feature_name_exit_2_in_every_command(tmp_path, capsys, command,
+                                                       version):
+    root, file = _repeated_feature(tmp_path / "rep", version)
+    argv = [a.format(ds=root, out=tmp_path / "out")
+            for a in REPEATED_COMMANDS[command]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {file}: duplicate feature name: 'X'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rep"]
