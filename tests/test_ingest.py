@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -689,40 +690,31 @@ def test_bad_v2_directory_exit_2_in_every_command(tmp_path, capsys, case,
 # ---------------------------------------------------------------------------
 
 def _repeated_feature(root, version):
-    """Features X, Y, X over four samples of fields grp, a, a, b, b."""
-    data = DataMatrix(("X", "Y", "X"), ("s1", "s2", "s3", "s4"),
-                      np.array([[1.0, 2, 3, 4], [4, 1, 3, 2], [2, 1, 4, 3]]))
-    info = InfoMatrix(("grp",), ("s1", "s2", "s3", "s4"), (("a", "a", "b", "b"),))
-    ds = Dataset(data, info, name="rep", score="none")
+    """The toy dataset with features GATA3, MYC, GATA3: (directory, the
+    file that names the features)."""
+    toy = toy_dataset()
+    values = toy.data.values
+    ds = replace(toy, data=DataMatrix(("GATA3", "MYC", "GATA3"), toy.data.col_names,
+                                      np.vstack([values, values[:1]])))
     if version == 1:
         return write_v1(ds, root), "data.tsv"
     save_dataset(ds, root)
     return root, "features.txt"
 
 
-REPEATED_COMMANDS = {
-    "test": ["test", "{ds}", "--test", "kw", "--field", "grp", "--out", "{out}"],
-    "pca": ["pca", "{ds}", "--features", "X,Y", "--out-svg", "{out}"],
-    "merge": ["merge", "{ds}", "{ds}", "--out", "{out}"],
-    "median-cor": ["median-cor", "{ds}", "--out", "{out}"],
-    "pairwise": ["pairwise", "{ds}", "--out", "{out}"],
-}
-
-
 @pytest.mark.parametrize("version", [1, 2])
 def test_repeated_feature_name_is_a_parse_error(tmp_path, version):
     root, file = _repeated_feature(tmp_path / "rep", version)
-    with pytest.raises(ParseError, match=f"^{file}: duplicate feature name: 'X'$"):
+    with pytest.raises(ParseError, match=f"^{file}: duplicate feature name: 'GATA3'$"):
         load_dataset(root)
 
 
 @pytest.mark.parametrize("version", [1, 2])
-@pytest.mark.parametrize("command", sorted(REPEATED_COMMANDS))
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
 def test_repeated_feature_name_exit_2_in_every_command(tmp_path, capsys, command,
                                                        version):
     root, file = _repeated_feature(tmp_path / "rep", version)
-    argv = [a.format(ds=root, out=tmp_path / "out")
-            for a in REPEATED_COMMANDS[command]]
+    argv = [a.format(ds=root, out=tmp_path / "out") for a in LOADING_COMMANDS[command]]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {file}: duplicate feature name: 'X'\n"
+    assert capsys.readouterr().err == f"error: {file}: duplicate feature name: 'GATA3'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rep"]

@@ -194,7 +194,8 @@ def _spearman_case():
 
 
 def _masked_case():
-    # ROADMAP item 7: a cell outside the pair dominates the row's centring
+    # the masked engine centres each row over all its present cells, so
+    # the cell outside the pair dominates
     return dm(["a", "b"], [[1e8, 1, 2, 4], [NA, 1, 2, 3]]), "pearson"
 
 
@@ -227,7 +228,7 @@ def test_exact_values_occur(pairs):
 
 
 def test_masked_cancellation_still_prints_above_one():
-    # the engine's fault, kept visible until ROADMAP item 7 mends it
+    # the engine's cancellation (r above 1), pinned until it is mended
     m, method = _masked_case()
     buf = io.StringIO()
     write_pairwise_text(m, buf, method)
