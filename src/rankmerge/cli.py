@@ -13,8 +13,8 @@ a config value that does not match the declaration and a key in the
 command's section that is none of its options.  Positional and
 required arguments come from the command line only.  --seed, --threads
 and --config are accepted before or after the command name.  --threads N
-formats the text of pairwise in N worker processes (other commands
-ignore it); the output bytes are the same for any N.
+is accepted by every command and must be >= 1; no command uses it, and
+every command runs in one process.
 
 A usage fault the command line alone shows, such as test's --field with
 several datasets or pca's --top without --results, is refused (exit 1)
@@ -235,8 +235,6 @@ def _load_config(path: str | None) -> dict:
     try:
         with open_text(path) as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise _UsageError(f"cannot read config: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise ParseError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -576,7 +574,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized operations")
     common.add_argument("--threads", type=int, default=1,
-                        help="processes formatting pairwise text, >= 1")
+                        help="accepted and unused by every command, >= 1")
 
     parser = _Parser(prog="rankmerge", parents=[common],
                      description="Rank-based merging and analysis "

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnnotationError, ManifestError, ParseError
-from .matrix import SCORE_KINDS, DataMatrix, Dataset, InfoMatrix, _check_unique
+from .matrix import SCORE_KINDS, DataMatrix, Dataset, InfoMatrix
 
 FORMAT_VERSION = 2  # written; version 1 is still read
 
@@ -83,10 +83,14 @@ _SERIES_MISSING = frozenset(["", *("".join(c) for c in product(*zip("null", "NUL
 
 @contextmanager
 def open_text(path: str | Path):
-    """Open a UTF-8 text file for reading.  A byte sequence that does
-    not decode, wherever the reader meets it, is a ParseError naming
-    the file."""
-    with open(path, encoding="utf-8") as fh:
+    """Open a UTF-8 text file for reading.  A file that cannot be opened,
+    or a byte sequence that does not decode wherever the reader meets it,
+    is a ParseError naming the file."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open: {exc.strerror or exc}") from None
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -568,7 +572,6 @@ def load_dataset(path: str | Path) -> Dataset:
                                 for t in texts))
         name = V1_DATA_FILE if v1 else FEATURES_FILE
         data = _read_v1_data(root) if v1 else _read_v2_data(root, info.col_names)
-        _check_unique(data.row_names, "feature name")
         return Dataset(data, info, name=str(manifest["name"]),
                        score=manifest.get("score", "none"),
                        source=str(manifest.get("source", "")),

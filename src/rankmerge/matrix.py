@@ -45,7 +45,8 @@ class DataMatrix:
     """Dense numeric matrix with named rows (features) and columns (samples).
 
     Column names are always unique; row names may repeat before
-    duplicate reduction.  Values are float64 with NaN for missing.
+    duplicate reduction (a :class:`Dataset`'s may not).  Values are
+    float64 with NaN for missing.
     """
 
     row_names: tuple[str, ...]
@@ -165,6 +166,8 @@ class InfoMatrix:
 class Dataset:
     """A named study: data plus sample metadata on the same columns.
 
+    Feature names (the data's row names) are unique.
+
     ``score`` records which (if any) rank transform has been applied;
     ``source`` and ``seed`` carry provenance so that persisting and
     reloading a dataset is lossless.
@@ -180,6 +183,7 @@ class Dataset:
     def __post_init__(self):
         if not self.name:
             raise ValueError("dataset name must be non-empty")
+        _check_unique(self.data.row_names, "feature name")
         if self.data.col_names != self.info.col_names:
             raise ValueError(
                 f"dataset {self.name!r}: data and info column names differ")
@@ -300,11 +304,11 @@ def merge_data(matrices: Sequence[DataMatrix],
 
     Rows are the sorted common names; columns are concatenated in input
     order, each prefixed ``"<prefix>:"``.  A resulting column-name
-    collision is an error naming the sample.
+    collision is an error naming the sample.  Each input's row names are
+    expected unique, as a :class:`Dataset`'s are; a repeated one gives
+    its first row, as in :meth:`DataMatrix.take_rows`.
     """
     rows = common_rows(matrices)
-    for mi, m in enumerate(matrices):
-        _check_unique(m.row_names, f"row name in input {mi}")
     return DataMatrix(tuple(rows),
                       _merged_names([m.col_names for m in matrices], prefixes),
                       np.hstack([m.take_rows(rows).values for m in matrices]))

@@ -15,10 +15,7 @@ distinct, comparable significance.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from collections.abc import Sequence
-from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress, repeat
@@ -253,11 +250,10 @@ def pairwise_row_correlations(m: DataMatrix,
     at a time with every later row by block products and emits their
     pairs in row order (i < j), so memory stays at O(256 x rows).  No
     argument moves the block boundaries, so none moves an output bit.
-    ``sink`` is called in this process; ``threads`` (>= 1) only sets the
-    text formatting workers of :func:`write_pairwise_text`.  Spearman
-    ranks each row as :func:`spearman` does.  A pair with fewer than 3
-    complete observations, or a row constant over them, is skipped and
-    counted (see :func:`_block_correlations`).
+    ``sink`` is called in this process; ``threads`` (>= 1) is checked and
+    otherwise unused.  Spearman ranks each row as :func:`spearman` does.
+    A pair with fewer than 3 complete observations, or a row constant
+    over them, is skipped and counted (see :func:`_block_correlations`).
     """
     emitted = 0
     for s, r, keep in _correlation_blocks(m, method, threads):
@@ -279,58 +275,22 @@ def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson", *,
     """Write one line "a<TAB>b<TAB>repr(r)" per pair that
     :func:`pairwise_row_correlations` emits, in the same order.
 
-    This process runs the block products and is the only writer.  The
-    lines of about 2^16 pairs at a time are formatted by
-    :func:`_pair_lines`, inline for one worker and otherwise in a pool of
-    min(``threads``, CPUs, tasks) processes with at most two tasks per
-    worker in flight, so the bytes are the same for any ``threads``.
+    One process runs the block products, formats the lines of about 2^16
+    pairs at a time with :func:`_pair_lines` and writes them, so the text
+    in flight stays within the O(256 x rows) bound.  ``threads`` (>= 1)
+    is checked and otherwise unused; no argument moves an output byte.
     Each r is printed with repr's bytes: for 1e-4 <= |r| < 1 numpy works
     out the same digits exactly, and other values go through repr().
     """
-    blocks = _correlation_blocks(m, method, threads)
-    n = m.n_rows
-    per_task = max(1, _TASK_PAIRS // max(n, 1))
-    tasks = ((m.row_names[s + a:], r[a:a + per_task, a:], keep[a:a + per_task, a:])
-             for s, r, keep in blocks for a in range(0, len(r), per_task))
-    n_tasks = sum(math.ceil(min(_BLOCK_ROWS, n - s) / per_task)
-                  for s in range(0, n, _BLOCK_ROWS))
-    workers = min(threads, os.cpu_count() or 1, n_tasks)
+    per_task = max(1, _TASK_PAIRS // max(m.n_rows, 1))
     emitted = 0
-    with closing(_formatted(tasks, workers)) as results:
-        for pairs, text in results:
+    for s, r, keep in _correlation_blocks(m, method, threads):
+        for a in range(0, len(r), per_task):
+            pairs, text = _pair_lines(m.row_names[s + a:], r[a:a + per_task, a:],
+                                      keep[a:a + per_task, a:])
             dest.write(text)
             emitted += pairs
-    return PairwiseResult(emitted, pair_count(n) - emitted)
-
-
-def _formatted(tasks, workers: int):
-    """:func:`_pair_lines` of each task, in task order.  A worker that
-    dies is a ChildProcessError naming the formatter."""
-    if workers < 2:
-        yield from (_pair_lines(*task) for task in tasks)
-        return
-    from concurrent.futures.process import BrokenProcessPool
-    pool, pending = _pool(workers), deque()
-    try:
-        for task in tasks:
-            pending.append(pool.submit(_pair_lines, *task))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"pairwise text formatter: {exc}") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _pool(workers: int):
-    # the platform's default start method: workers only format their
-    # arguments (no BLAS call, no lock of this process), and a spawned
-    # worker would first spend a numpy import on every command.  A
-    # worker that dies breaks the pool, which raises, not hangs.
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(workers)
+    return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
 
 
 def _pair_lines(names: Sequence[str], r: np.ndarray,

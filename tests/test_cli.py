@@ -1,9 +1,7 @@
 import ast
 import json
 import math
-import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +15,7 @@ from rankmerge.ingest import load_dataset, save_dataset
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
 from rankmerge.numerics import LogP
 from rankmerge.rstats import TestResult as Result
-from rankmerge.rstats import _pair_lines, read_results_tsv, write_results_tsv
+from rankmerge.rstats import read_results_tsv, write_results_tsv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NA = math.nan
@@ -280,19 +278,6 @@ class TestMedianCorCommand:
         assert code == 5
 
 
-def _fail_second_task(names, r, keep):
-    # with blocks of 4 rows the second task starts at row g4
-    if names[0] == "g4":
-        raise ValueError(f"second task failed in process {os.getpid()} ")
-    return _pair_lines(names, r, keep)
-
-
-def _kill_second_task(names, r, keep):
-    if names[0] == "g4":
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _pair_lines(names, r, keep)
-
-
 class TestPairwiseCommand:
     def test_three_rows_three_lines(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "d", ["a", "b", "c"], ["s1", "s2", "s3"],
@@ -343,42 +328,6 @@ class TestPairwiseCommand:
                               "--out", out)
         assert code == 1 and "threads" in stderr
         assert not out.exists()
-
-    def test_worker_failure_cleans_up(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 4)
-        monkeypatch.setattr(rstats, "_pair_lines", _fail_second_task)
-        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
-        rng = np.random.default_rng(3)
-        ds = make_ds(tmp_path, "d", [f"g{i}" for i in range(23)],
-                     [f"s{j}" for j in range(7)], rng.normal(size=(23, 7)))
-        out = tmp_path / "p.txt"
-        code, _, stderr = run(capsys, "pairwise", ds, "--threads", "2",
-                              "--out", out)
-        assert code != 0 and "second task failed in process" in stderr
-        assert not out.exists()
-        assert not (tmp_path / "p.txt.partial").exists()
-        pid = int(stderr.split("process ")[1].split()[0])
-        assert pid != os.getpid()
-        assert not multiprocessing.active_children()
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-
-    def test_killed_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(rstats, "_BLOCK_ROWS", 4)
-        monkeypatch.setattr(rstats, "_pair_lines", _kill_second_task)
-        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
-        rng = np.random.default_rng(3)
-        ds = make_ds(tmp_path, "d", [f"g{i}" for i in range(23)],
-                     [f"s{j}" for j in range(7)], rng.normal(size=(23, 7)))
-        out = tmp_path / "p.txt"
-        code, stdout, stderr = run(capsys, "pairwise", ds, "--threads", "2",
-                                   "--out", out)
-        assert code == 1 and stdout == ""
-        assert stderr.startswith("error: pairwise text formatter: ")
-        assert stderr.count("\n") == 1 and "Traceback" not in stderr
-        assert not out.exists()
-        assert not (tmp_path / "p.txt.partial").exists()
-        assert not multiprocessing.active_children()
 
     def test_failure_leaves_no_partial_file(self, tmp_path, capsys):
         ds = make_ds(tmp_path, "d", ["a", "b"], ["s1", "s2"], [[1, 2], [3, 4]])
@@ -868,10 +817,10 @@ class TestConfigAndPlumbing:
         assert code == 2 and "cfg.json" in stderr
         assert stderr.startswith("error: ") and "Traceback" not in stderr
 
-    def test_missing_config_file_exit_1(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "--config", tmp_path / "absent.json",
-                         "split-het", "nowhere", "--feature", "X")
-        assert code == 1
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "--config", tmp_path / "absent.json",
+                              "split-het", "nowhere", "--feature", "X")
+        assert code == 2 and "absent.json: cannot open" in stderr
 
     @pytest.mark.parametrize("key,value,command", [
         ("seed", [1], "partition"),

@@ -22,6 +22,7 @@ from rankmerge.ingest import (
     serialize_series_matrix,
 )
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
+from test_cli import fabricated_results
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NA = math.nan
@@ -691,15 +692,21 @@ def test_bad_v2_directory_exit_2_in_every_command(tmp_path, capsys, case,
 
 def _repeated_feature(root, version):
     """The toy dataset with features GATA3, MYC, GATA3: (directory, the
-    file that names the features)."""
+    file that names the features).  A Dataset refuses the repeat, so the
+    third row is saved as DUP and renamed in the file."""
     toy = toy_dataset()
     values = toy.data.values
-    ds = replace(toy, data=DataMatrix(("GATA3", "MYC", "GATA3"), toy.data.col_names,
+    ds = replace(toy, data=DataMatrix(("GATA3", "MYC", "DUP"), toy.data.col_names,
                                       np.vstack([values, values[:1]])))
     if version == 1:
-        return write_v1(ds, root), "data.tsv"
-    save_dataset(ds, root)
-    return root, "features.txt"
+        write_v1(ds, root)
+        file = "data.tsv"
+    else:
+        save_dataset(ds, root)
+        file = "features.txt"
+    path = root / file
+    path.write_text(path.read_text().replace("DUP", "GATA3"))
+    return root, file
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -718,3 +725,40 @@ def test_repeated_feature_name_exit_2_in_every_command(tmp_path, capsys, command
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {file}: duplicate feature name: 'GATA3'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rep"]
+
+
+# ---------------------------------------------------------------------------
+# a missing input
+# ---------------------------------------------------------------------------
+
+# every input a command reads other than a dataset, with ``{missing}`` for
+# the absent path
+FILE_READING_COMMANDS = {
+    "ingest series": ["ingest", "{missing}", "{fixtures}/annotation_small.tsv",
+                      "--out", "{out}"],
+    "ingest annotation": ["ingest", "{fixtures}/series_small.txt", "{missing}",
+                          "--out", "{out}"],
+    "enrich results": ["enrich", "{missing}", "{fixtures}/sets_small.gmt",
+                       "--out", "{out}"],
+    "enrich gmt": ["enrich", "{results}", "{missing}", "--out", "{out}"],
+    "enrich universe": ["enrich", "{results}", "{fixtures}/sets_small.gmt",
+                        "--universe", "{missing}", "--out", "{out}"],
+    "pca results": ["pca", "{ds}", "--results", "{missing}", "--top", "2",
+                    "--out-svg", "{out}"],
+    "config": ["--config", "{missing}", "split-het", "{ds}", "--feature", "GATA3"],
+}
+
+
+@pytest.mark.parametrize("command",
+                         sorted(FILE_READING_COMMANDS) + sorted(LOADING_COMMANDS))
+def test_missing_input_exit_2_in_every_command(tmp_path, capsys, command):
+    ds, results, missing = tmp_path / "toy", tmp_path / "r.tsv", tmp_path / "absent"
+    save_dataset(toy_dataset(), ds)
+    fabricated_results(results)
+    argv = FILE_READING_COMMANDS.get(command) or [
+        a.replace("{ds}", "{missing}") for a in LOADING_COMMANDS[command]]
+    assert main([a.format(ds=ds, results=results, missing=missing, fixtures=FIXTURES,
+                          out=tmp_path / "out") for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {missing}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.tsv", "toy"]

@@ -126,6 +126,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="score"):
             make_dataset(["a"], ["c"], [[1]], score="zscore")
 
+    def test_repeated_feature_name_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate feature name: 'X'$"):
+            make_dataset(["X", "Y", "X"], ["c"], [[1], [2], [3]])
+
     def test_name_required(self):
         with pytest.raises(ValueError):
             make_dataset(["a"], ["c"], [[1]], name="")

@@ -3,7 +3,7 @@
 ``reference_pair_lines`` below is the per-pair formatter that the numpy
 lines of ``rstats._pair_lines`` replaced, kept verbatim: every line of
 ``write_pairwise_text`` must equal its bytes, whatever the names, the
-values and the number of formatting workers.  The kernel test checks
+values, the task size and ``threads``.  The kernel test checks
 the number text alone against ``repr`` on a million and more doubles.
 """
 
@@ -208,9 +208,8 @@ CASES = {"names": _names_case, "spearman_missing": _spearman_case,
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("threads", [1, 2])
 def test_text_equals_reference(case, threads, monkeypatch):
-    # one row per task, so that two workers share even two rows
+    # one row per task, so that even two rows are two tasks
     monkeypatch.setattr(rstats, "_TASK_PAIRS", 1)
-    monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
     m, method = CASES[case]()
     want = reference_text(m, method)
     buf = io.StringIO()
@@ -265,7 +264,6 @@ def test_chosen_values_through_the_writer(threads, monkeypatch):
     monkeypatch.setattr(rstats, "_correlation_blocks",
                         lambda m, method, threads: iter([(0, r, keep)]))
     monkeypatch.setattr(rstats, "_TASK_PAIRS", 1)
-    monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
     want = reference_pair_lines(names, r, keep)
     buf = io.StringIO()
     res = write_pairwise_text(m, buf, threads=threads)

@@ -1,10 +1,7 @@
 import io
 import math
 import multiprocessing
-import os
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from itertools import combinations
 
@@ -455,30 +452,8 @@ def _reference_text(m, **kw):
     return "".join(f"{a}\t{b}\t{r!r}\n" for a, b, r in got), res
 
 
-def _die_on_second_task(names, r, keep):
-    # with 40 pairs per task and blocks of 5 rows, the second task starts
-    # at row r1
-    if names[0] == "r1":
-        os._exit(1)
-    return rstats._pair_lines(names, r, keep)
-
-
 class _Discard:
     def write(self, text):
-        pass
-
-
-class _InlinePool:
-    """Stands in for a process pool: records its size, runs tasks inline."""
-
-    def __init__(self, sizes, workers):
-        sizes.append(workers)
-
-    def submit(self, func, *args):
-        result = func(*args)
-        return type("Done", (), {"result": lambda self: result})()
-
-    def shutdown(self, cancel_futures=False):
         pass
 
 
@@ -506,41 +481,6 @@ class TestWritePairwiseText:
         assert "r18" in {a for a, _, _ in got}
         assert "r19" not in {a for a, _, _ in got}
 
-    def test_spawned_workers_write_the_same_bytes(self, monkeypatch):
-        # every task carries its own names and rows, so workers need no
-        # state inherited by fork
-        monkeypatch.setattr(rstats, "_pool", lambda workers: ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("spawn")))
-        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
-        m, method = _pairwise_case("missing", monkeypatch)
-        buf = io.StringIO()
-        write_pairwise_text(m, buf, method, threads=2)
-        assert buf.getvalue() == _reference_text(m, method=method)[0]
-
-    @pytest.mark.parametrize("kind, cpus, workers",
-                             [("dense", 7, 6), ("dense", 4, 4), ("one_task", 7, 1)])
-    def test_workers_clamped_to_cpus_and_tasks(self, kind, cpus, workers,
-                                               monkeypatch):
-        # dense: 29 rows in blocks of 5 are 6 tasks; one_task: 1 task
-        sizes = []
-        monkeypatch.setattr(rstats, "_pool", lambda w: _InlinePool(sizes, w))
-        monkeypatch.setattr(rstats.os, "cpu_count", lambda: cpus)
-        m, method = _pairwise_case(kind, monkeypatch)
-        buf = io.StringIO()
-        write_pairwise_text(m, buf, method, threads=10 ** 9)
-        assert sizes == ([workers] if workers > 1 else [])
-        assert buf.getvalue() == _reference_text(m, method=method)[0]
-
-    def test_dead_worker_raises(self, monkeypatch):
-        monkeypatch.setattr(rstats, "_TASK_PAIRS", 40)
-        monkeypatch.setattr(rstats, "_pair_lines", _die_on_second_task)
-        monkeypatch.setattr(rstats.os, "cpu_count", lambda: 2)
-        m, method = _pairwise_case("dense", monkeypatch)
-        with pytest.raises(ChildProcessError, match="pairwise text formatter") as exc:
-            write_pairwise_text(m, io.StringIO(), method, threads=2)
-        assert isinstance(exc.value.__cause__, BrokenProcessPool)
-        assert not multiprocessing.active_children()
-
     @pytest.mark.parametrize("call", [
         lambda m: write_pairwise_text(m, io.StringIO(), "pearson", 256),
         lambda m: write_pairwise_text(m, io.StringIO(), chunk=256),
@@ -549,17 +489,27 @@ class TestWritePairwiseText:
     ])
     def test_block_size_is_no_argument(self, call, monkeypatch):
         # a block size passed where it used to go is never read as a
-        # worker count
+        # thread count
         m, _ = _pairwise_case("dense", monkeypatch)
         with pytest.raises(TypeError):
             call(m)
 
-    def test_one_thread_starts_no_pool(self, monkeypatch):
-        def no_pool(workers):
-            raise AssertionError("a pool was started")
-        monkeypatch.setattr(rstats, "_pool", no_pool)
+    def test_threads_start_no_process(self, monkeypatch):
+        # children alive while any text is written
+        seen = []
+
+        class Watched(io.StringIO):
+            def write(self, text):
+                seen.extend(multiprocessing.active_children())
+                return super().write(text)
+
         m, method = _pairwise_case("dense", monkeypatch)
-        write_pairwise_text(m, io.StringIO(), method, threads=1)
+        bufs = [Watched(), Watched()]
+        results = [write_pairwise_text(m, buf, method, threads=threads)
+                   for buf, threads in zip(bufs, (1, 4))]
+        assert seen == [] and not multiprocessing.active_children()
+        assert bufs[0].getvalue() == bufs[1].getvalue()
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("missing", [False, True])
     @pytest.mark.parametrize("threads", [1, 2])
