@@ -13,8 +13,9 @@ a config value that does not match the declaration and a key in the
 command's section that is none of its options.  Positional and
 required arguments come from the command line only.  --seed, --threads
 and --config are accepted before or after the command name.  --threads N
-is accepted by every command and must be >= 1; no command uses it, and
-every command runs in one process.
+is accepted by every command and must be >= 1, as a flag or a config
+value (exit 1 before any input is read); no command uses it, and every
+command runs in one process.
 
 A usage fault the command line alone shows, such as test's --field with
 several datasets or pca's --top without --results, is refused (exit 1)
@@ -172,7 +173,8 @@ def _resolve_options(args: argparse.Namespace, config: dict,
     """Fill each optional flag the command line left out: the command's
     config section, else the top-level key, else the declared default.
     A top-level dict is always a command section, never a value; a key
-    in the section that is none of the command's options is refused."""
+    in the section that is none of the command's options is refused, and
+    so is a thread count below 1, from the flag or the config."""
     section = config.get(args.command)
     section = section if isinstance(section, dict) else {}
     options = {a.dest: a for a in command._actions if hasattr(a, "declared")}
@@ -190,6 +192,8 @@ def _resolve_options(args: argparse.Namespace, config: dict,
         else:
             value = action.declared
         setattr(args, key, value)
+    if args.threads < 1:
+        raise _UsageError(f"threads must be >= 1, got {args.threads}")
 
 
 def _config_value(action: argparse.Action, value):
@@ -535,9 +539,8 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     gene_sets = parse_gmt(args.gmt)
     rows = enrich_genesets(selected, universe, gene_sets)
     n_selected = len(selected & universe)
-    adjusted = benjamini_yekutieli([p for _, _, _, p in rows])
-    raw_cells = p_cells(np.array([p.ln_p for _, _, _, p in rows]))
-    adj_cells = p_cells(np.array([p.ln_p for p in adjusted]))
+    ln_p = np.array([p.ln_p for _, _, _, p in rows])
+    raw_cells, adj_cells = p_cells(ln_p), p_cells(benjamini_yekutieli(ln_p))
     with _partial_file(args.out) as fh:
         fh.write("set\tset_size\toverlap\tselected\tuniverse\t"
                  "p_raw\tlog10_p_raw\tp_adj\tlog10_p_adj\n")

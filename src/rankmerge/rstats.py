@@ -266,59 +266,40 @@ def pairwise_row_correlations(m: DataMatrix,
     return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
 
 
-# formatting task size: rows per task = max(1, _TASK_PAIRS // rows)
-_TASK_PAIRS = 2 ** 16
-
-
 def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson", *,
                         threads: int = 1) -> PairwiseResult:
     """Write one line "a<TAB>b<TAB>repr(r)" per pair that
     :func:`pairwise_row_correlations` emits, in the same order.
 
-    One process runs the block products, formats the lines of about 2^16
-    pairs at a time with :func:`_pair_lines` and writes them, so the text
-    in flight stays within the O(256 x rows) bound.  ``threads`` (>= 1)
-    is checked and otherwise unused; no argument moves an output byte.
+    One process runs the block products, and one loop per block writes
+    it in runs of whole rows: as many rows as keep a run's lines within
+    about :data:`_CELL_BYTES`, and at least one.  A run's kept pairs
+    (k, j), in row order, are one byte matrix, a row per line, padded
+    with a byte that UTF-8 never uses; dropping that byte leaves each
+    line whole, whatever a name holds (NUL included).  So the text in
+    flight stays within the O(256 x rows) bound.  ``threads`` (>= 1) is
+    checked and otherwise unused; no argument moves an output byte.
     Each r is printed with repr's bytes: for 1e-4 <= |r| < 1 numpy works
     out the same digits exactly, and other values go through repr().
     """
-    per_task = max(1, _TASK_PAIRS // max(m.n_rows, 1))
+    blocks = _correlation_blocks(m, method, threads)
+    cells = _name_cells(m.row_names)
     emitted = 0
-    for s, r, keep in _correlation_blocks(m, method, threads):
-        for a in range(0, len(r), per_task):
-            pairs, text = _pair_lines(m.row_names[s + a:], r[a:a + per_task, a:],
-                                      keep[a:a + per_task, a:])
-            dest.write(text)
-            emitted += pairs
+    for s, r, keep in blocks:
+        run = max(1, _CELL_BYTES // ((2 * cells.shape[1] + _REPR_WIDTH) * r.shape[1]))
+        for a in range(0, len(r), run):
+            i, j = np.nonzero(np.triu(keep[a:a + run, a:], 1))
+            lines = np.concatenate([cells[s + a + i], cells[s + a + j],
+                                    _repr_cells(r[a:a + run, a:][i, j])], axis=1)
+            dest.write(lines.tobytes().translate(None, _PAD)
+                       .decode("utf-8", "surrogatepass"))
+            emitted += len(i)
     return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
 
 
-def _pair_lines(names: Sequence[str], r: np.ndarray,
-                keep: np.ndarray) -> tuple[int, str]:
-    """(pairs, text) of rows k of ``r`` against their later rows k + 1:,
-    where ``names[k]`` names row k (and column k) of ``r`` and ``keep``.
-
-    Each kept pair (k, j), in row order, gives the line
-    "names[k]<TAB>names[j]<TAB>repr(r[k, j])<NEWLINE>", with repr's bytes
-    for every value (see :func:`_repr_cells`).  The lines of up to
-    :data:`_CELL_BYTES` at a time are one byte matrix, a row per pair,
-    padded with a byte that UTF-8 never uses; dropping that byte leaves
-    each line whole, whatever a name holds (NUL included).
-    """
-    rows, cols = np.nonzero(np.triu(keep, 1))
-    name_cells = _name_cells(names)
-    step = max(1, _CELL_BYTES // (2 * name_cells.shape[1] + _REPR_WIDTH))
-    text = []
-    for i in range(0, len(rows), step):
-        k, j = rows[i:i + step], cols[i:i + step]
-        cells = np.concatenate([name_cells.take(k, axis=0), name_cells.take(j, axis=0),
-                                _repr_cells(r[k, j])], axis=1)
-        text.append(cells.tobytes().translate(None, _PAD))
-    return len(rows), b"".join(text).decode("utf-8", "surrogatepass")
-
-
-# bytes per line matrix: a long name shortens it, and at about 40 bytes
-# a line its per-pair temporaries come from the heap, not fresh pages
+# bytes of lines per run of rows: a long name or a wide block shortens
+# the run, and at about 40 bytes a line its per-pair temporaries come
+# from the heap, not fresh pages
 _CELL_BYTES = 2 ** 19
 _PAD = b"\xff"  # never a byte of UTF-8
 
@@ -714,8 +695,17 @@ def wilcoxon_group_vs_rest(ds: Dataset, field_name: str, keyword: str,
 # Benjamini-Yekutieli FDR
 # ---------------------------------------------------------------------------
 
-def _by_adjusted_ln(ln_p: np.ndarray) -> np.ndarray:
-    """Benjamini-Yekutieli adjusted ln p of a non-empty ln p array."""
+def benjamini_yekutieli(ln_p) -> np.ndarray:
+    """The adjusted ln p of a non-empty 1-d array of ln p, under
+    arbitrary dependence, computed in log space.
+
+    adjusted_(i) = min over j >= i of min(1, p_(j) * m * c(m) / j) with
+    c(m) the harmonic sum 1 + 1/2 + ... + 1/m.  Each ln p is checked as
+    :class:`LogP` checks it.
+    """
+    ln_p = checked_ln_p(ln_p)
+    if ln_p.ndim != 1 or len(ln_p) == 0:
+        raise ValueError("need a non-empty 1-d array of ln p")
     m = len(ln_p)
     c_m = float((1.0 / np.arange(1, m + 1)).sum())
     order = np.argsort(ln_p, kind="stable")
@@ -728,17 +718,6 @@ def _by_adjusted_ln(ln_p: np.ndarray) -> np.ndarray:
     return out
 
 
-def benjamini_yekutieli(p_values: Sequence[LogP]) -> list[LogP]:
-    """Adjusted p-values under arbitrary dependence, computed in log space.
-
-    adjusted_(i) = min over j >= i of min(1, p_(j) * m * c(m) / j) with
-    c(m) the harmonic sum 1 + 1/2 + ... + 1/m.
-    """
-    if len(p_values) == 0:
-        raise ValueError("need at least one p-value")
-    return [LogP(v) for v in _by_adjusted_ln(_ln_column(p_values)).tolist()]
-
-
 def apply_fdr(results: Sequence[TestResult]) -> ResultTable:
     """Attach Benjamini-Yekutieli adjusted p-values.
 
@@ -749,7 +728,7 @@ def apply_fdr(results: Sequence[TestResult]) -> ResultTable:
     tested = table.tested
     ln_adj = table.ln_p_adj.copy()
     if tested.any():
-        ln_adj[tested] = _by_adjusted_ln(table.ln_p[tested])
+        ln_adj[tested] = benjamini_yekutieli(table.ln_p[tested])
     return replace(table, ln_p_adj=ln_adj)
 
 

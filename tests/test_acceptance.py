@@ -38,7 +38,6 @@ from rankmerge.matrix import (
 )
 from rankmerge.multivar import pca
 from rankmerge.numerics import (
-    LogP,
     chi_sq_upper_tail_ln,
     inv_norm_cdf,
     norm_upper_tail_ln,
@@ -243,10 +242,10 @@ def test_criterion_05_fdr_direct_formula():
         deep = rng.random(size) < 0.2
         ln_ps[deep] = rng.uniform(deep_floor, 0.0, size=int(deep.sum()))
         ln_list = [float(v) for v in ln_ps]
-        adjusted = benjamini_yekutieli([LogP(v) for v in ln_list])
+        adjusted = benjamini_yekutieli(ln_ps).tolist()
         oracle = _fdr_oracle_ln(ln_list)
         for got, want in zip(adjusted, oracle):
-            worst = max(worst, abs(got.ln_p - want))
+            worst = max(worst, abs(got - want))
     ok = worst <= 1e-12
     report(5, "adjusted p-values match the direct formula on 1,000 vectors",
            ok, f"max |delta ln| = {worst:.2e}")

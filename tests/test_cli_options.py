@@ -196,6 +196,22 @@ def test_unknown_key_in_command_section_exit_1(tmp_path, capsys, inputs,
     assert code == 0, stderr
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_threads_below_one_exit_1_before_any_output(tmp_path, capsys, inputs,
+                                                     command, how):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 0}))
+    extra = ["--threads", "0"] if how == "flag" else ["--config", cfg]
+    code, stdout, stderr = run(capsys, command,
+                               *base_argv(command, inputs, out), *extra)
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: threads must be >= 1, got 0\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("config", [{"seed": 5}, {"partition": {"seed": 11}},
                                     {"seed": 5, "partition": {"seed": 11}}])
 @pytest.mark.parametrize("before", [True, False])

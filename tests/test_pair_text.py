@@ -1,21 +1,23 @@
 """Pairwise text against repr, byte for byte.
 
 ``reference_pair_lines`` below is the per-pair formatter that the numpy
-lines of ``rstats._pair_lines`` replaced, kept verbatim: every line of
-``write_pairwise_text`` must equal its bytes, whatever the names, the
-values, the task size and ``threads``.  The kernel test checks
-the number text alone against ``repr`` on a million and more doubles.
+lines of ``rstats.write_pairwise_text`` replaced, with its own pair
+selection: every line of the writer must equal its bytes, whatever the
+names, the values, the rows per run (``_CELL_BYTES``) and ``threads``.
+The kernel test checks the number text alone against ``repr`` on a
+million and more doubles.
 """
 
 import io
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
 
 from rankmerge import rstats
 from rankmerge.matrix import DataMatrix
-from rankmerge.rstats import _partners, write_pairwise_text
+from rankmerge.rstats import write_pairwise_text
 
 NA = math.nan
 
@@ -27,7 +29,8 @@ NA = math.nan
 def reference_pair_lines(names, r, keep):
     pairs, lines = 0, []
     for k, a in enumerate(names[:len(r)]):
-        partners, rs = _partners(names, r, keep, k)
+        ok = keep[k, k + 1:]
+        partners, rs = compress(names[k + 1:], ok.tolist()), r[k, k + 1:][ok].tolist()
         lines.append("".join([f"{a}\t{b}\t{v!r}\n" for b, v in zip(partners, rs)]))
         pairs += len(rs)
     return pairs, "".join(lines)
@@ -205,17 +208,47 @@ CASES = {"names": _names_case, "spearman_missing": _spearman_case,
          "exact_masked": _exact_case(EXACT_MASKED)}
 
 
+# bytes per run of rows: every run one row; runs of a few rows in each
+# case below; each block one run
+RUN_BYTES = [1, 4000, rstats._CELL_BYTES]
+
+
+class Counted(io.StringIO):
+    """A text buffer that counts its writes, one per run of rows."""
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def written(m, monkeypatch, cell_bytes, method="pearson", threads=1):
+    """(result, text, writes) of ``write_pairwise_text`` at ``cell_bytes``."""
+    monkeypatch.setattr(rstats, "_CELL_BYTES", cell_bytes)
+    buf = Counted()
+    res = write_pairwise_text(m, buf, method, threads=threads)
+    return res, buf.getvalue(), buf.writes
+
+
+def one_block(monkeypatch, r, keep):
+    """Substitute (0, r, keep) for the engine's blocks."""
+    monkeypatch.setattr(rstats, "_correlation_blocks",
+                        lambda m, method, threads: iter([(0, r, keep)]))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("threads", [1, 2])
 def test_text_equals_reference(case, threads, monkeypatch):
-    # one row per task, so that even two rows are two tasks
-    monkeypatch.setattr(rstats, "_TASK_PAIRS", 1)
     m, method = CASES[case]()
     want = reference_text(m, method)
-    buf = io.StringIO()
-    res = write_pairwise_text(m, buf, method, threads=threads)
-    assert buf.getvalue() == want
-    assert res.emitted == want.count("\n")
+    writes = []
+    for cell_bytes in RUN_BYTES:
+        res, text, n = written(m, monkeypatch, cell_bytes, method, threads)
+        assert text == want
+        assert res.emitted == want.count("\n")
+        writes.append(n)
+    # a run of one row each, even of two rows; then runs of several
+    assert writes[0] == m.n_rows > writes[1] >= writes[2]
 
 
 @pytest.mark.parametrize("pairs", [EXACT_DENSE, EXACT_MASKED], ids=["dense", "masked"])
@@ -261,27 +294,29 @@ def test_chosen_values_through_the_writer(threads, monkeypatch):
     keep[upper[0][-3:], upper[1][-3:]] = False
     names = ["α", "b\x00", "\x00", "dd", "e" * 30, "f", "基", "h"]
     m = dm(names, np.random.default_rng(5).normal(size=(n, 3)))
-    monkeypatch.setattr(rstats, "_correlation_blocks",
-                        lambda m, method, threads: iter([(0, r, keep)]))
-    monkeypatch.setattr(rstats, "_TASK_PAIRS", 1)
+    one_block(monkeypatch, r, keep)
     want = reference_pair_lines(names, r, keep)
-    buf = io.StringIO()
-    res = write_pairwise_text(m, buf, threads=threads)
-    assert (res.emitted, buf.getvalue()) == want
+    for cell_bytes in RUN_BYTES:
+        res, text, _ = written(m, monkeypatch, cell_bytes, threads=threads)
+        assert (res.emitted, text) == want
     assert all(f"\t{v!r}\n" in want[1] for v in BLOCK_VALUES)
 
 
-@pytest.mark.parametrize("cell_bytes", [1, 100, rstats._CELL_BYTES])
+@pytest.mark.parametrize("cell_bytes", [1, 2000, rstats._CELL_BYTES])
 def test_pair_lines_in_pieces(cell_bytes, monkeypatch):
-    # the byte matrices of a task join at any size
-    monkeypatch.setattr(rstats, "_CELL_BYTES", cell_bytes)
+    # the runs of a block join at any size: of one row, of two, or all five
     rng = np.random.default_rng(9)
     r = rng.normal(scale=0.2, size=(5, 12))
     keep = rng.random((5, 12)) < 0.7
     names = [f"n{'é' * i}" for i in range(12)]
-    assert rstats._pair_lines(names, r, keep) == reference_pair_lines(names, r, keep)
+    one_block(monkeypatch, r, keep)
+    res, text, _ = written(dm(names, rng.normal(size=(12, 3))), monkeypatch,
+                           cell_bytes)
+    assert (res.emitted, text) == reference_pair_lines(names, r, keep)
 
 
-def test_pair_lines_without_kept_pairs():
-    keep = np.zeros((2, 4), bool)
-    assert rstats._pair_lines(list("abcd"), np.ones((2, 4)), keep) == (0, "")
+def test_pair_lines_without_kept_pairs(monkeypatch):
+    one_block(monkeypatch, np.ones((2, 4)), np.zeros((2, 4), bool))
+    res, text, _ = written(dm("abcd", np.ones((4, 3))), monkeypatch,
+                           rstats._CELL_BYTES)
+    assert (res.emitted, res.skipped, text) == (0, 6, "")

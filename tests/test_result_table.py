@@ -46,7 +46,8 @@ def ref_apply_fdr(results):
     tested = [i for i, r in enumerate(results) if r.p_raw is not None]
     if not tested:
         return list(results)
-    adjusted = benjamini_yekutieli([results[i].p_raw for i in tested])
+    adjusted = map(LogP, benjamini_yekutieli(
+        np.array([results[i].p_raw.ln_p for i in tested])).tolist())
     out = list(results)
     for i, adj in zip(tested, adjusted):
         r = results[i]
@@ -302,7 +303,8 @@ def test_enrich_command_writes_reference_bytes(tmp_path, capsys):
                 and r.p_adjusted.ln_p < math.log(0.05)}
     universe = {r.feature for r in rows}
     enriched = ref_enrich(selected, universe, parse_gmt(gmt))
-    adjusted = benjamini_yekutieli([p for *_, p in enriched])
+    adjusted = map(LogP, benjamini_yekutieli(
+        np.array([p.ln_p for *_, p in enriched])).tolist())
     want = ["set\tset_size\toverlap\tselected\tuniverse\t"
             "p_raw\tlog10_p_raw\tp_adj\tlog10_p_adj\n"]
     for (gs, size, k, p), adj in zip(enriched, adjusted):

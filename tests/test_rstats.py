@@ -440,7 +440,7 @@ def _pairwise_case(kind, monkeypatch):
     elif kind == "no_kept_partners":
         # rows 20 and up are constant, so row 19 keeps no partner
         vals[20:] = 1.0
-    elif kind == "one_task":
+    elif kind == "one_task":  # one block
         vals, block_rows = vals[:6], 256
     monkeypatch.setattr(rstats, "_BLOCK_ROWS", block_rows)
     names = [f"r{i}" for i in range(len(vals))]
@@ -462,10 +462,11 @@ class TestWritePairwiseText:
              "no_kept_partners", "one_task"]
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("task_pairs", [rstats._TASK_PAIRS, 40])
-    def test_bytes_match_sink_reference(self, kind, task_pairs, monkeypatch):
-        # 40 pairs per task splits each block into tasks of one row
-        monkeypatch.setattr(rstats, "_TASK_PAIRS", task_pairs)
+    @pytest.mark.parametrize("cell_bytes", [65536, 40])
+    def test_bytes_match_sink_reference(self, kind, cell_bytes, monkeypatch):
+        # 40 bytes cut each block into runs of one row; 65,536 write each
+        # block of these cases in one run
+        monkeypatch.setattr(rstats, "_CELL_BYTES", cell_bytes)
         m, method = _pairwise_case(kind, monkeypatch)
         want, want_res = _reference_text(m, method=method)
         assert want
@@ -775,43 +776,42 @@ def by_oracle_linear(ps):
 
 class TestBenjaminiYekutieli:
     def test_three_value_example(self):
-        adj = benjamini_yekutieli([LogP.from_p(p) for p in (0.01, 0.02, 0.03)])
-        for a in adj:
-            assert a.p == pytest.approx(0.055, abs=1e-12)
+        adj = benjamini_yekutieli(np.log([0.01, 0.02, 0.03]))
+        np.testing.assert_allclose(np.exp(adj), 0.055, rtol=0, atol=1e-12)
 
     def test_single_value(self):
-        (a,) = benjamini_yekutieli([LogP.from_p(1.0)])
-        assert a.p == 1.0
+        assert benjamini_yekutieli(np.array([0.0])).tolist() == [0.0]
 
     def test_matches_linear_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             ps = rng.uniform(1e-6, 1.0, size=rng.integers(1, 40)).tolist()
-            adj = benjamini_yekutieli([LogP.from_p(p) for p in ps])
-            oracle = by_oracle_linear(ps)
-            for a, o in zip(adj, oracle):
-                assert a.p == pytest.approx(o, rel=1e-12)
+            adj = benjamini_yekutieli(np.log(ps))
+            np.testing.assert_allclose(np.exp(adj), by_oracle_linear(ps),
+                                       rtol=1e-12, atol=0)
 
     def test_adjusted_at_least_raw(self):
         rng = np.random.default_rng(10)
-        ps = [LogP.from_p(p) for p in rng.uniform(0, 1, size=25)]
-        for raw, adj in zip(ps, benjamini_yekutieli(ps)):
-            assert adj.ln_p >= raw.ln_p - 1e-12
+        ln_p = np.log(rng.uniform(0, 1, size=25))
+        assert (benjamini_yekutieli(ln_p) >= ln_p - 1e-12).all()
 
     def test_deep_log_domain_survives(self):
-        deep = [LogP(math.log(1e-300)), LogP(-900.0), LogP.from_p(0.5)]
-        adj = benjamini_yekutieli(deep)
-        assert adj[1].ln_p < adj[0].ln_p < adj[2].ln_p
-        assert all(math.isfinite(a.ln_p) for a in adj)
+        adj = benjamini_yekutieli(np.array([math.log(1e-300), -900.0, math.log(0.5)]))
+        assert adj[1] < adj[0] < adj[2]
+        assert np.isfinite(adj).all()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
-        ps = [LogP.from_p(p) for p in rng.uniform(0, 1, size=12)]
+        ln_p = np.log(rng.uniform(0, 1, size=12))
         perm = rng.permutation(12)
-        direct = benjamini_yekutieli(ps)
-        permuted = benjamini_yekutieli([ps[i] for i in perm])
-        for k, i in enumerate(perm):
-            assert permuted[k].ln_p == pytest.approx(direct[i].ln_p, abs=1e-12)
+        np.testing.assert_allclose(benjamini_yekutieli(ln_p[perm]),
+                                   benjamini_yekutieli(ln_p)[perm], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ln_p", [[], [[-1.0, -2.0]], [-1.0, math.nan],
+                                      [-math.inf], [0.5]])
+    def test_refuses_what_logp_refuses(self, ln_p):
+        with pytest.raises(ValueError):
+            benjamini_yekutieli(np.array(ln_p))
 
 
 class TestApplyFdrAndSelection:
