@@ -11,10 +11,10 @@ section (a top-level key named after the command), else the top-level
 key, else the declared default, and refuses, before the command runs,
 a config value that does not match the declaration and a key in the
 command's section that is none of its options.  Positional and
-required arguments come from the command line only.  --seed, --threads
-and --config are accepted before or after the command name.  --threads N
-is accepted by every command and must be >= 1, as a flag or a config
-value (exit 1 before any input is read); no command uses it, and every
+required arguments come from the command line only.  --seed and
+--config are accepted before or after the command name.  pairwise alone
+takes --threads N, after its name; N must be >= 1, as a flag or a config
+value (exit 1 before any input is read), and is otherwise unused: every
 command runs in one process.
 
 A usage fault the command line alone shows, such as test's --field with
@@ -155,9 +155,9 @@ def _suppress_defaults(commands: dict[str, _Parser]) -> None:
     argparse copies every default of the command's parser over the
     namespace, flags given before the command name included, so options
     stay out of the namespace until ``_resolve_options`` fills them.  The
-    --seed and --threads actions are shared by every parser and moved
-    once; --config is declared suppressed and never resolved.  The
-    default is added to the flag's help text."""
+    --seed action is shared by every parser and moved once; --config is
+    declared suppressed and never resolved.  The default is added to the
+    flag's help text."""
     for command in commands.values():
         for action in command._actions:
             if (action.option_strings and not action.required
@@ -174,7 +174,7 @@ def _resolve_options(args: argparse.Namespace, config: dict,
     config section, else the top-level key, else the declared default.
     A top-level dict is always a command section, never a value; a key
     in the section that is none of the command's options is refused, and
-    so is a thread count below 1, from the flag or the config."""
+    so is pairwise's thread count below 1, from the flag or the config."""
     section = config.get(args.command)
     section = section if isinstance(section, dict) else {}
     options = {a.dest: a for a in command._actions if hasattr(a, "declared")}
@@ -192,7 +192,7 @@ def _resolve_options(args: argparse.Namespace, config: dict,
         else:
             value = action.declared
         setattr(args, key, value)
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise _UsageError(f"threads must be >= 1, got {args.threads}")
 
 
@@ -414,8 +414,7 @@ def cmd_median_cor(args: argparse.Namespace) -> int:
 def cmd_pairwise(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
     with _partial_file(args.out) as fh:
-        result = write_pairwise_text(ds.data, fh, method=args.method,
-                                     threads=args.threads)
+        result = write_pairwise_text(ds.data, fh, method=args.method)
     print(f"pairs={result.emitted} skipped={result.skipped}")
     return 0
 
@@ -576,8 +575,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                         help="JSON file with default option values")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized operations")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and unused by every command, >= 1")
 
     parser = _Parser(prog="rankmerge", parents=[common],
                      description="Rank-based merging and analysis "
@@ -586,7 +583,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                                 parser_class=_Parser)
 
     def add(name, func, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[common], help=help_text,
+                           description=help_text)
         p.set_defaults(func=func)
         return p
 
@@ -599,7 +597,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="multi-symbol probes: keep first symbol or drop")
     p.add_argument("--name", help="dataset name (default: series file stem)")
 
-    p = add("score", cmd_score, "replace values by per-column rank scores")
+    p = add("score", cmd_score, "replace values by per-column rank scores; "
+            "this assumes most features unchanged (see README)")
     p.add_argument("dataset")
     p.add_argument("--kind", required=True, choices=RANK_SCORES)
     p.add_argument("--out", required=True)
@@ -637,6 +636,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add("pairwise", cmd_pairwise, "stream all row-pair correlations")
     p.add_argument("dataset")
     p.add_argument("--method", choices=CORRELATION_METHODS, default="pearson")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and unused, >= 1")
     p.add_argument("--out", required=True)
 
     p = add("test", cmd_test, "per-feature group tests with FDR control")

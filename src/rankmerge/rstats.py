@@ -37,7 +37,7 @@ from .numerics import (
     log_choose,
     norm_upper_tail_ln_array,
 )
-from .transform import rank_rows
+from .transform import RANK_BLOCK_CELLS, rank_rows
 
 DIRECTIONS = ("over", "under", "none")
 RANK_KEYS = ("p", "statistic")  # the orders of rank_features
@@ -255,8 +255,10 @@ def pairwise_row_correlations(m: DataMatrix,
     A pair with fewer than 3 complete observations, or a row constant
     over them, is skipped and counted (see :func:`_block_correlations`).
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     emitted = 0
-    for s, r, keep in _correlation_blocks(m, method, threads):
+    for s, r, keep in _correlation_blocks(m, method):
         names = m.row_names[s:]
         for k, a in enumerate(names[:len(r)]):
             partners, rs = _partners(names, r, keep, k)
@@ -266,8 +268,8 @@ def pairwise_row_correlations(m: DataMatrix,
     return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
 
 
-def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson", *,
-                        threads: int = 1) -> PairwiseResult:
+def write_pairwise_text(m: DataMatrix, dest: TextIO,
+                        method: str = "pearson") -> PairwiseResult:
     """Write one line "a<TAB>b<TAB>repr(r)" per pair that
     :func:`pairwise_row_correlations` emits, in the same order.
 
@@ -277,12 +279,12 @@ def write_pairwise_text(m: DataMatrix, dest: TextIO, method: str = "pearson", *,
     (k, j), in row order, are one byte matrix, a row per line, padded
     with a byte that UTF-8 never uses; dropping that byte leaves each
     line whole, whatever a name holds (NUL included).  So the text in
-    flight stays within the O(256 x rows) bound.  ``threads`` (>= 1) is
-    checked and otherwise unused; no argument moves an output byte.
+    flight stays within the O(256 x rows) bound.  No argument moves an
+    output byte.
     Each r is printed with repr's bytes: for 1e-4 <= |r| < 1 numpy works
     out the same digits exactly, and other values go through repr().
     """
-    blocks = _correlation_blocks(m, method, threads)
+    blocks = _correlation_blocks(m, method)
     cells = _name_cells(m.row_names)
     emitted = 0
     for s, r, keep in blocks:
@@ -405,7 +407,7 @@ def _partners(names: Sequence[str], r: np.ndarray, keep: np.ndarray, k: int):
     return compress(names[k + 1:], ok.tolist()), r[k, k + 1:][ok].tolist()
 
 
-def _correlation_blocks(m: DataMatrix, method: str, threads: int):
+def _correlation_blocks(m: DataMatrix, method: str):
     """Check the arguments now; then yield (s, r, keep) per block of
     :data:`_BLOCK_ROWS` rows s:e, with r and keep of rows s:e against
     rows s:."""
@@ -413,8 +415,6 @@ def _correlation_blocks(m: DataMatrix, method: str, threads: int):
         raise ValueError(f"unknown correlation method {method!r}")
     if m.n_cols < 3:
         raise ValueError("need at least 3 columns")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if len(set(m.row_names)) != m.n_rows:
         raise ValueError("row names must be unique for pairwise correlations")
 
@@ -484,16 +484,25 @@ def _block_correlations(vals: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _pooled_ranks(groups: Sequence[np.ndarray]):
-    """Per-group rank sums (exact half-integers) and sizes of aligned
-    group matrices ranked together by row; per row the pooled size N,
-    the tie sum and the tie factor 1 - sum(t^3 - t) / (N^3 - N)."""
-    ranks, tie_sum, n = rank_rows(np.hstack(groups))
+    """Aligned group matrices ranked together by row: a row per group of
+    rank sums (exact half-integers) and of sizes; per row the pooled size
+    N, the tie sum and the tie factor 1 - sum(t^3 - t) / (N^3 - N).  The
+    rows are pooled and ranked :data:`RANK_BLOCK_CELLS` cells at a time,
+    so no pooled copy of the groups is ever whole."""
     edges = np.cumsum([0] + [g.shape[1] for g in groups])
-    parts = [ranks[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+    k, rows = len(groups), len(groups[0])
+    sums, sizes = np.empty((k, rows)), np.empty((k, rows), int)
+    n, tie_sum = np.empty(rows, int), np.empty(rows)
+    step = max(1, RANK_BLOCK_CELLS // max(edges[-1], 1))
+    for s in range(0, rows, step):
+        ranks, tie_sum[s:s + step], n[s:s + step] = rank_rows(
+            np.hstack([g[s:s + step] for g in groups]))
+        for i, part in enumerate(np.split(ranks, edges[1:-1], axis=1)):
+            sums[i, s:s + step] = np.nansum(part, axis=1)
+            sizes[i, s:s + step] = (~np.isnan(part)).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         tie = 1.0 - tie_sum / (n.astype(float) ** 3 - n)
-    return ([np.nansum(p, axis=1) for p in parts],
-            [(~np.isnan(p)).sum(axis=1) for p in parts], n, tie_sum, tie)
+    return sums, sizes, n, tie_sum, tie
 
 
 def _aligned(groups: Sequence[DataMatrix]) -> tuple[list[str], list[np.ndarray]]:

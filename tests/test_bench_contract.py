@@ -2,18 +2,22 @@
 
 bench/run.py times each layer by wrapping the module attributes listed in
 its BOUNDARIES, and times the tail functions by calling the scalar tails
-in ``tail_times``.  A name that disappears would silently zero a
-per-layer metric or break the traced run, so both are read from the
-harness source here (parsed, not imported) and checked against the
-package.
+in ``tail_times``.  Its plans run commands with flags, and ``engine_time``
+calls ``pairwise_row_correlations`` with keywords.  A name that
+disappears would silently zero a per-layer metric or break the traced
+run, so all are read from the harness source here (parsed, not
+imported) and checked against the package.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+from rankmerge import cli, rstats
+from rankmerge.matrix import DataMatrix
 from rankmerge.numerics import LogP
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -75,3 +79,33 @@ def test_ingest_calls_the_wrapped_parsers_by_bare_name(run_py):
     assert parsers <= bare and not parsers & dotted
     for name in parsers:
         assert getattr(cli, name) is getattr(ingest, name)
+
+
+def test_every_plan_flag_is_declared_by_its_command(run_py):
+    _, commands = cli._build_parser()
+    plans = [node.args[1].elts for node in ast.walk(run_py)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Command"
+             and isinstance(node.args[1], ast.List)]
+    assert plans
+    for argv in plans:
+        command = argv[0].value
+        declared = {o for a in commands[command]._actions for o in a.option_strings}
+        flags = {e.value for e in argv if isinstance(e, ast.Constant)
+                 and isinstance(e.value, str) and e.value.startswith("--")}
+        assert flags <= declared, (command, flags - declared)
+
+
+def test_engine_time_keywords_are_accepted(run_py):
+    calls = [node for node in ast.walk(_function(run_py, "engine_time"))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", "") == "pairwise_row_correlations"]
+    assert len(calls) == 1
+    keywords = calls[0].keywords
+    inspect.signature(rstats.pairwise_row_correlations).bind(
+        None, None, **{k.arg: None for k in keywords})
+    literal = {k.arg: ast.literal_eval(k.value) for k in keywords
+               if isinstance(k.value, ast.Constant)}
+    m = DataMatrix(("a", "b", "c"), ("x", "y", "z"),
+                   [[1.0, 2.0, 4.0], [2.0, 1.0, 3.0], [0.0, 1.0, 1.0]])
+    res = rstats.pairwise_row_correlations(m, lambda a, b, r: None, **literal)
+    assert res.emitted == 3

@@ -188,7 +188,10 @@ def test_unknown_key_in_command_section_exit_1(tmp_path, capsys, inputs,
         assert stderr == (f"error: config key {key!r} is unknown in section "
                           f"{command!r}\n")
         assert list(out.iterdir()) == []
-    cfg.write_text(json.dumps({"nonesuch": 4, "chunk": 4, "out": 4}))
+    top = {"nonesuch": 4, "chunk": 4, "out": 4}
+    if command != "pairwise":  # pairwise alone declares --threads
+        top["threads"] = 0
+    cfg.write_text(json.dumps(top))
     argv = [command, *base_argv(command, inputs, out), "--config", cfg]
     for key, value in needed(command, None, option_values(inputs, out)).items():
         argv += flag(command, key, value)
@@ -200,16 +203,32 @@ def test_unknown_key_in_command_section_exit_1(tmp_path, capsys, inputs,
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_threads_below_one_exit_1_before_any_output(tmp_path, capsys, inputs,
                                                      command, how):
+    # pairwise alone declares --threads and refuses a count below 1 from
+    # the flag, its section or the top-level key; every other command
+    # refuses the flag and the section key, whatever the count
     out = tmp_path / "out"
     out.mkdir()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": 0}))
-    extra = ["--threads", "0"] if how == "flag" else ["--config", cfg]
-    code, stdout, stderr = run(capsys, command,
-                               *base_argv(command, inputs, out), *extra)
-    assert (code, stdout) == (1, "")
-    assert stderr == "error: threads must be >= 1, got 0\n"
-    assert list(out.iterdir()) == []
+    if command == "pairwise":
+        refusal = "error: threads must be >= 1, got 0\n"
+        cases = ([(["--threads", "0"], refusal)] if how == "flag" else
+                 [({command: {"threads": 0}}, refusal), ({"threads": 0}, refusal)])
+    elif how == "flag":
+        cases = [(["--threads", n],
+                  f"error: rankmerge: unrecognized arguments: --threads {n}\n")
+                 for n in ("0", "2")]
+    else:
+        cases = [({command: {"threads": n}}, f"error: config key 'threads' "
+                  f"is unknown in section {command!r}\n") for n in (0, 2)]
+    for given, want in cases:
+        if how == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", cfg]
+        code, stdout, stderr = run(capsys, command,
+                                   *base_argv(command, inputs, out), *given)
+        assert (code, stdout) == (1, "")
+        assert stderr == want
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("config", [{"seed": 5}, {"partition": {"seed": 11}},
@@ -243,6 +262,13 @@ def test_help_shows_each_default(capsys, command):
         shown = getattr(action, "declared", None)
         if shown is not None:
             assert f"(default: {shown})" in options[start:end], action.dest
+
+
+def test_score_help_states_what_scoring_assumes(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["score", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "this assumes most features unchanged (see README)" in text
 
 
 def readme_rows():

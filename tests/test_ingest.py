@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -725,6 +727,58 @@ def test_repeated_feature_name_exit_2_in_every_command(tmp_path, capsys, command
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {file}: duplicate feature name: 'GATA3'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rep"]
+
+
+# feature names a dataset file can hold: no tab, line break or byte-order mark
+FEATURE_NAMES = st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters="\t\r\n\ufeff"),
+                        min_size=1, max_size=6)
+
+
+@st.composite
+def repeated_feature_datasets(draw):
+    """(names with one repeat, values, format version): any names, and
+    values with NaN, ties, huge and subnormal numbers."""
+    names = draw(st.lists(FEATURE_NAMES, min_size=1, max_size=5, unique=True))
+    at = draw(st.integers(0, len(names)))
+    names.insert(at, draw(st.sampled_from(names)))
+    cells = st.sampled_from([NA, 0.0, 1.0, -2.5, 1e300, 5e-324]) | st.floats(
+        allow_infinity=False)
+    values = draw(st.lists(st.lists(cells, min_size=3, max_size=3),
+                           min_size=len(names), max_size=len(names)))
+    return names, np.array(values), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(repeated_feature_datasets())
+def test_repeated_feature_name_fuzz_exit_2_in_every_command(tmp_path_factory, case):
+    names, values, version = case
+    root = tmp_path_factory.mktemp("rep")
+    # saved under placeholder names, which the feature file then replaces
+    cols = ("s1", "s2", "s3")
+    ds = Dataset(DataMatrix(tuple(f"row{i}" for i in range(len(names))), cols, values),
+                 InfoMatrix(("disease",), cols, (("aml", "aml", "control"),)),
+                 name="rep")
+    if version == 1:
+        write_v1(ds, root / "ds")
+        file = "data.tsv"
+        lines = (root / "ds" / file).read_text().split("\n")
+        text = "\n".join(lines[:1] + [name + line[line.index("\t"):]
+                                      for name, line in zip(names, lines[1:])])
+        (root / "ds" / file).write_text(text + "\n")
+    else:
+        save_dataset(ds, root / "ds")
+        file = "features.txt"
+        (root / "ds" / file).write_text("".join(f"{name}\n" for name in names),
+                                        encoding="utf-8")
+    repeated = next(n for i, n in enumerate(names) if n in names[:i])
+    for command, argv in LOADING_COMMANDS.items():
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([a.format(ds=root / "ds", out=root / "out") for a in argv])
+        assert (code, err.getvalue()) == (
+            2, f"error: {file}: duplicate feature name: {repeated!r}\n"), command
+        assert [p.name for p in root.iterdir()] == ["ds"]
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def reduce_reference(m):
                 continue
             with np.errstate(invalid="ignore", over="ignore"):
                 q1, q3 = np.quantile(v, [0.25, 0.75])
-            spread = float(q3 - q1)
+                spread = float(q3 - q1)
             if not np.isnan(spread) and spread > best:
                 best_i, best = i, spread
         if best_i >= 0:

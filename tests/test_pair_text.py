@@ -3,7 +3,7 @@
 ``reference_pair_lines`` below is the per-pair formatter that the numpy
 lines of ``rstats.write_pairwise_text`` replaced, with its own pair
 selection: every line of the writer must equal its bytes, whatever the
-names, the values, the rows per run (``_CELL_BYTES``) and ``threads``.
+names, the values and the rows per run (``_CELL_BYTES``).
 The kernel test checks the number text alone against ``repr`` on a
 million and more doubles.
 """
@@ -39,7 +39,7 @@ def reference_pair_lines(names, r, keep):
 def reference_text(m, method="pearson"):
     """The old writer: the reference lines of each block, in order."""
     return "".join(reference_pair_lines(m.row_names[s:], r, keep)[1]
-                   for s, r, keep in rstats._correlation_blocks(m, method, 1))
+                   for s, r, keep in rstats._correlation_blocks(m, method))
 
 
 def number_text(values):
@@ -222,28 +222,27 @@ class Counted(io.StringIO):
         return super().write(text)
 
 
-def written(m, monkeypatch, cell_bytes, method="pearson", threads=1):
+def written(m, monkeypatch, cell_bytes, method="pearson"):
     """(result, text, writes) of ``write_pairwise_text`` at ``cell_bytes``."""
     monkeypatch.setattr(rstats, "_CELL_BYTES", cell_bytes)
     buf = Counted()
-    res = write_pairwise_text(m, buf, method, threads=threads)
+    res = write_pairwise_text(m, buf, method)
     return res, buf.getvalue(), buf.writes
 
 
 def one_block(monkeypatch, r, keep):
     """Substitute (0, r, keep) for the engine's blocks."""
     monkeypatch.setattr(rstats, "_correlation_blocks",
-                        lambda m, method, threads: iter([(0, r, keep)]))
+                        lambda m, method: iter([(0, r, keep)]))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("threads", [1, 2])
-def test_text_equals_reference(case, threads, monkeypatch):
+def test_text_equals_reference(case, monkeypatch):
     m, method = CASES[case]()
     want = reference_text(m, method)
     writes = []
     for cell_bytes in RUN_BYTES:
-        res, text, n = written(m, monkeypatch, cell_bytes, method, threads)
+        res, text, n = written(m, monkeypatch, cell_bytes, method)
         assert text == want
         assert res.emitted == want.count("\n")
         writes.append(n)
@@ -284,8 +283,7 @@ BLOCK_VALUES = [1.0, -1.0, 0.0, -0.0, 0.5, -0.25, 2 ** -10, 1e-4, 9.99e-5,
                 1.5, NA]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_chosen_values_through_the_writer(threads, monkeypatch):
+def test_chosen_values_through_the_writer(monkeypatch):
     n = 8
     upper = np.triu_indices(n, 1)
     r = np.full((n, n), 0.75)
@@ -297,7 +295,7 @@ def test_chosen_values_through_the_writer(threads, monkeypatch):
     one_block(monkeypatch, r, keep)
     want = reference_pair_lines(names, r, keep)
     for cell_bytes in RUN_BYTES:
-        res, text, _ = written(m, monkeypatch, cell_bytes, threads=threads)
+        res, text, _ = written(m, monkeypatch, cell_bytes)
         assert (res.emitted, text) == want
     assert all(f"\t{v!r}\n" in want[1] for v in BLOCK_VALUES)
 

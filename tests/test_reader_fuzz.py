@@ -216,14 +216,14 @@ CONFIG_TEXT = json.dumps({"seed": 3, "threads": 2, "test": {"fdr": 0.1},
                           "name": "x"})
 
 
-def refused(config: dict) -> bool:
-    """Whether ``config`` gives an option of split-het (--seed, --threads)
-    a value that does not match its declaration, or has a key in the
-    split-het section that is neither."""
+def refused(config: dict, command: str = "split-het") -> bool:
+    """Whether ``config`` gives an option of ``command`` (split-het has
+    --seed alone) a value that does not match its declaration, or has a
+    key in the command's section that is none of its options."""
     _, commands = _build_parser()
     try:
-        _resolve_options(argparse.Namespace(command="split-het"), config,
-                         commands["split-het"])
+        _resolve_options(argparse.Namespace(command=command), config,
+                         commands[command])
     except _UsageError:
         return True
     return False
@@ -243,8 +243,9 @@ def test_config_bytes(tmp_path, bases, data):
 
 
 # near-valid configs whose values parse as JSON but fail the declaration
-# of split-het's --seed or --threads: 1e999 reads as inf, quotes make a
-# string; or whose split-het section has a key that is no option of it
+# of split-het's --seed or of pairwise's --threads: 1e999 reads as inf,
+# quotes make a string; or whose split-het section has a key that is no
+# option of it
 @pytest.mark.parametrize("text, key", [
     ('{"split-het": {"chunk": 4}}', "chunk"),
     ('{"split-het": {"feature": "A"}}', "feature"),
@@ -258,8 +259,12 @@ def test_config_value_refused(tmp_path, bases, capsys, text, key):
     root = directory(tmp_path, bases[2], 2)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    assert refused(_load_config(str(cfg)))
-    assert run(["--config", cfg, "split-het", root, "--feature", "A"]) == 1
+    # pairwise alone declares --threads
+    command = "pairwise" if key == "threads" else "split-het"
+    assert refused(_load_config(str(cfg)), command)
+    argv = (["pairwise", root, "--out", tmp_path / "pairs.txt"]
+            if command == "pairwise" else ["split-het", root, "--feature", "A"])
+    assert run(["--config", cfg, *argv]) == 1
     assert f"config key {key!r}" in capsys.readouterr().err
 
 

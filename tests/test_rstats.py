@@ -37,6 +37,7 @@ from rankmerge.rstats import (
     spearman,
     wilcoxon_group_vs_rest,
     wilcoxon_one_sided,
+    wilcoxon_per_feature,
     write_pairwise_text,
     write_results_tsv,
 )
@@ -272,6 +273,8 @@ class TestPairwise:
         seq, _ = collect_pairs(m, threads=1)
         par, _ = collect_pairs(m, threads=4)
         assert seq == par
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            collect_pairs(m, threads=0)
 
     def test_chunk_size_does_not_change_emission(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -294,7 +297,7 @@ class TestPairwise:
             monkeypatch.setattr(rstats, "_BLOCK_ROWS", block_rows)
         m = _memory_case(missing)
         n, starts = m.n_rows, []
-        for s, r, keep in rstats._correlation_blocks(m, "pearson", 1):
+        for s, r, keep in rstats._correlation_blocks(m, "pearson"):
             assert r.shape == keep.shape == (min(rstats._BLOCK_ROWS, n - s), n - s)
             starts.append(s)
         assert starts == list(range(0, n, rstats._BLOCK_ROWS))
@@ -470,11 +473,10 @@ class TestWritePairwiseText:
         m, method = _pairwise_case(kind, monkeypatch)
         want, want_res = _reference_text(m, method=method)
         assert want
-        for threads in (1, 2, 3):
-            buf = io.StringIO()
-            res = write_pairwise_text(m, buf, method, threads=threads)
-            assert buf.getvalue() == want
-            assert res == want_res
+        buf = io.StringIO()
+        res = write_pairwise_text(m, buf, method)
+        assert buf.getvalue() == want
+        assert res == want_res
 
     def test_no_kept_partners_case_has_such_a_row(self, monkeypatch):
         m, method = _pairwise_case("no_kept_partners", monkeypatch)
@@ -496,7 +498,8 @@ class TestWritePairwiseText:
             call(m)
 
     def test_threads_start_no_process(self, monkeypatch):
-        # children alive while any text is written
+        # children alive while any text is written, or while the sink is
+        # called at any thread count
         seen = []
 
         class Watched(io.StringIO):
@@ -505,23 +508,25 @@ class TestWritePairwiseText:
                 return super().write(text)
 
         m, method = _pairwise_case("dense", monkeypatch)
-        bufs = [Watched(), Watched()]
-        results = [write_pairwise_text(m, buf, method, threads=threads)
-                   for buf, threads in zip(bufs, (1, 4))]
+        buf = Watched()
+        results = [write_pairwise_text(m, buf, method)]
+        for threads in (1, 4):
+            results.append(pairwise_row_correlations(
+                m, lambda *pair: seen.extend(multiprocessing.active_children()),
+                method, threads=threads))
         assert seen == [] and not multiprocessing.active_children()
-        assert bufs[0].getvalue() == bufs[1].getvalue()
-        assert results[0] == results[1]
+        assert buf.getvalue() == _reference_text(m, method=method)[0]
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("missing", [False, True])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_memory_holds_one_block(self, missing, threads, monkeypatch):
+    def test_memory_holds_one_block(self, missing, monkeypatch):
         # as TestPairwise.test_memory_holds_one_block, through the text
         # writer; the lines in flight stay within the same bound
         monkeypatch.setattr(rstats, "_BLOCK_ROWS", 64)
         m = _memory_case(missing)
         tracemalloc.start()
         try:
-            res = write_pairwise_text(m, _Discard(), threads=threads)
+            res = write_pairwise_text(m, _Discard())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -617,6 +622,29 @@ class TestKwPerFeature:
         b = dm(rows, [f"b{j}" for j in range(6)], vals[:, perm[6:]])
         out = apply_fdr(kw_per_feature([a, b]))
         assert len(significant_features(out, 0.05)) == 0
+
+
+@pytest.mark.parametrize("test", [lambda a, b: kw_per_feature([a, b]),
+                                  wilcoxon_per_feature], ids=["kw", "wilcoxon"])
+def test_per_feature_tests_hold_one_block_of_ranks(test):
+    # two aligned groups of 20,000 x 50 values, 2 % missing (15.3 MiB):
+    # the groups are pooled and ranked a block of rows at a time, so no
+    # pooled copy of them, nor its ranks, is ever whole
+    rng = np.random.default_rng(23)
+    rows = [f"g{i:05d}" for i in range(20_000)]
+    groups = []
+    for side in "ab":
+        vals = rng.normal(size=(20_000, 50))
+        vals[rng.random(vals.shape) < 0.02] = NA
+        groups.append(dm(rows, [f"{side}{j}" for j in range(50)], vals))
+    tracemalloc.start()
+    try:
+        out = test(*groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 20_000 and out.tested.all()
+    assert peak < sum(g.values.nbytes for g in groups)
 
 
 # ---------------------------------------------------------------------------
