@@ -12,7 +12,8 @@ key, else the declared default, and refuses, before the command runs,
 a config value that does not match the declaration and a key in the
 command's section that is none of its options.  Positional and
 required arguments come from the command line only.  --seed and
---config are accepted before or after the command name.  pairwise alone
+--config are accepted before or after the command name; any other flag
+before it is refused, named in the message.  pairwise alone
 takes --threads N, after its name; N must be >= 1, as a flag or a config
 value (exit 1 before any input is read), and is otherwise unused: every
 command runs in one process.
@@ -715,6 +716,23 @@ _EXIT_CODES = (
 )
 
 
+def _check_leading_flags(argv) -> None:
+    """Refuse a flag before the command name other than --seed, --config
+    and help, or a prefix argparse expands to one of them: argparse would
+    read the flag's value as the command name."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" or not token.startswith("-"):
+            return
+        name, eq, _ = token.partition("=")
+        if name != "-h" and (len(name) < 3 or not any(
+                f.startswith(name) for f in ("--seed", "--config", "--help"))):
+            raise _UsageError(f"rankmerge: {name} goes after the command name "
+                              f"(only --seed and --config go before it)")
+        if not eq:
+            next(tokens, None)
+
+
 def main(argv=None) -> int:
     """Run one command.  ``argv=None`` (read sys.argv) is the process
     entry, which freezes the start-up objects (see the module docstring)."""
@@ -722,6 +740,7 @@ def main(argv=None) -> int:
         gc.freeze()
     parser, commands = _build_parser()
     try:
+        _check_leading_flags(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         config = _load_config(getattr(args, "config", None))
         _resolve_options(args, config, commands[args.command])

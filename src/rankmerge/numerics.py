@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
 
 import numpy as np
 
@@ -48,8 +47,7 @@ _LN_P_FLOOR = math.log(LINEAR_P_FLOOR)
 _LN_ONE_SLACK = 1e-9
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LogP:
     """A probability stored as its natural logarithm (``ln_p <= 0``).
 
@@ -82,19 +80,6 @@ class LogP:
     def is_underflow(self) -> bool:
         """True when the linear value would print below the 1e-308 floor."""
         return self.ln_p < _LN_P_FLOOR
-
-    def __eq__(self, other):
-        if not isinstance(other, LogP):
-            return NotImplemented
-        return self.ln_p == other.ln_p
-
-    def __lt__(self, other):
-        if not isinstance(other, LogP):
-            return NotImplemented
-        return self.ln_p < other.ln_p
-
-    def __repr__(self):
-        return f"LogP(ln_p={self.ln_p!r})"
 
 
 def checked_ln_p(ln_p) -> np.ndarray:

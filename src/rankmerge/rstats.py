@@ -142,7 +142,9 @@ def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation after pairwise-complete missing removal."""
+    """Pearson correlation after pairwise-complete missing removal.  Each
+    vector is scaled by a power of two (exact), centred, then scaled to
+    max |value| 1, so no sum or product overflows or underflows."""
     x, y = _vector_pair(x, y)
     keep = ~(np.isnan(x) | np.isnan(y))
     xc, yc = x[keep], y[keep]
@@ -150,14 +152,11 @@ def pearson(x, y) -> float:
         raise ValueError(f"need >= 3 complete pairs, have {xc.size}")
     if xc.min() == xc.max() or yc.min() == yc.max():
         raise ValueError("zero variance input")
-    xm = xc - xc.mean()
-    ym = yc - yc.mean()
-    # scaled to max |value| 1, the products neither underflow to a zero
-    # spread nor overflow to inf
-    xm /= np.abs(xm).max()
-    ym /= np.abs(ym).max()
-    sx = math.sqrt(float(xm @ xm))
-    sy = math.sqrt(float(ym @ ym))
+    xm, ym = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (xc, yc))
+    for v in (xm, ym):
+        v -= v.mean()
+        v /= np.abs(v).max()
+    sx, sy = (math.sqrt(float(v @ v)) for v in (xm, ym))
     return float(xm @ ym) / (sx * sy)
 
 
@@ -238,6 +237,9 @@ def pair_count(n_rows: int) -> int:
 # rows per block product: memory stays at O(_BLOCK_ROWS x rows), and the
 # block boundaries, which group the matrix products, never move
 _BLOCK_ROWS = 256
+# a masked pair goes to pearson when a row's spread is at most this share
+# of cnt x sum(z^2): one-pass rounding is about 3(p + 1) eps of it at most
+_SPREAD_SHARE = 0.01
 
 
 def pairwise_row_correlations(m: DataMatrix,
@@ -429,13 +431,10 @@ def _block_correlations(vals: np.ndarray):
 
     Without missing values r = (g / |x|) / |y| for g = z z^T over the
     row-centred values z.  With them, masked products give each pair its
-    sums over its complete observations (NaN enters z as 0), and a row
-    is constant over them exactly when cnt * sum(h^2) == (sum h)^2 for
-    the integers h = 2 x midrank.  Those sums are exact while they stay
-    below 2^53: up to 9,065 columns, beyond which this is a ValueError.
-    Each row is first scaled by the power of two that brings its largest
-    |value| into [0.5, 1), so products neither overflow nor underflow;
-    being exact, the scaling moves no bit of r otherwise.
+    count and sums over its complete cells (NaN enters z as 0) for r in
+    one pass, unless a row's spread is at most :data:`_SPREAD_SHARE` of
+    cnt x sum(z^2): then :func:`pearson` decides the pair.  Each row is
+    first scaled by a power of two (exact): no product over- or underflows.
     """
     missing = np.isnan(vals)
     present = (~missing).astype(float)
@@ -443,39 +442,39 @@ def _block_correlations(vals: np.ndarray):
     z = np.ldexp(z, -np.frexp(np.abs(z).max(axis=1, keepdims=True))[1])
     z = np.where(missing, 0.0, z - z.sum(axis=1, keepdims=True)
                  / np.maximum(present.sum(axis=1, keepdims=True), 1.0))
+    constant = np.fmin.reduce(vals, axis=1) == np.fmax.reduce(vals, axis=1)
     if not missing.any():
-        constant = vals.min(axis=1) == vals.max(axis=1)
         inv_norms = 1.0 / np.where(constant, np.inf, np.sqrt((z * z).sum(axis=1)))
 
         def dense(s: int, e: int):
             return ((z[s:e] @ z[s:].T) * inv_norms[s:e, None] * inv_norms[s:],
                     ~(constant[s:e, None] | constant[s:]))
         return dense
-    p = vals.shape[1]
-    if 2 * p * p * (p + 1) * (2 * p + 1) > 3 * 2 ** 53:
-        raise ValueError(f"{p} columns with missing values; the exact "
-                         f"constancy test holds up to 9,065")
-    h = np.nan_to_num(2.0 * rank_rows(vals)[0])
-    hh, zz = h * h, z * z
+    zz = z * z
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def block(s: int, e: int):
-        def row_sum(a):  # each block row's sum of a over its pairs' complete cells
-            return a[s:e] @ present[s:].T
+        def sums(a, b):  # block rows of a against rows of b, over complete cells
+            return a[s:e] @ b[s:].T
 
-        def partner_sum(a):
-            return present[s:e] @ a[s:].T
+        def spread(t, v):  # (sum z, sum z^2) -> sum z, cnt^2 x the variance, small?
+            v *= cnt
+            v -= t * t
+            return t, v, v <= _SPREAD_SHARE * (v + t * t)
 
-        def spread(side, a, aa):  # cnt^2 x the variance over the complete cells
-            t = side(a)
-            return cnt * side(aa) - t * t
-
-        cnt = row_sum(present)
-        keep = ((cnt >= 3) & (spread(row_sum, h, hh) != 0)
-                & (spread(partner_sum, h, hh) != 0))
-        var = spread(row_sum, z, zz) * spread(partner_sum, z, zz)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (cnt * (z[s:e] @ z[s:].T) - row_sum(z) * partner_sum(z)) / np.sqrt(var)
-        return r, keep & (var > 0)
+        cnt = sums(present, present)
+        keep = (cnt >= 3) & ~(constant[s:e, None] | constant[s:])
+        (tx, vx, low_x), (ty, vy, low_y) = (spread(sums(z, present), sums(zz, present)),
+                                            spread(sums(present, z), sums(present, zz)))
+        r = np.multiply(cnt, z[s:e] @ z[s:].T, out=cnt)
+        r -= np.multiply(tx, ty, out=tx)
+        r /= np.sqrt(np.multiply(vx, vy, out=vx), out=vx)
+        for i, j in np.argwhere(np.triu(keep & (low_x | low_y), 1)).tolist():
+            try:
+                r[i, j] = pearson(vals[s + i], vals[s + j])
+            except ValueError:
+                keep[i, j] = False
+        return r, keep
     return block
 
 

@@ -246,6 +246,27 @@ def test_seed_flag_beats_config_on_either_side_of_the_command(
     assert load_dataset(tmp_path / "parts" / "part1").seed == 9
 
 
+@pytest.mark.parametrize("leading", [["--threads", "2"], ["--bogus", "3"],
+                                     ["--threads=2"], ["-x"]])
+def test_flag_before_the_command_name_is_named(tmp_path, capsys, inputs, leading):
+    # argparse alone would read the flag's value as the command name
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, stderr = run(capsys, *leading, "pairwise",
+                               *base_argv("pairwise", inputs, out))
+    name = leading[0].partition("=")[0]
+    assert (code, stdout, list(out.iterdir())) == (1, "", [])
+    assert stderr == (f"error: rankmerge: {name} goes after the command name "
+                      f"(only --seed and --config go before it)\n")
+
+
+@pytest.mark.parametrize("seed", [["--seed", "3"], ["--seed=3"], ["--se", "3"]])
+def test_seed_before_the_command_name_still_runs(tmp_path, capsys, inputs, seed):
+    code, stdout, _ = run(capsys, *seed, "pairwise",
+                          *base_argv("pairwise", inputs, tmp_path))
+    assert code == 0 and stdout.startswith("pairs=")
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_help_shows_each_default(capsys, command):
     with pytest.raises(SystemExit) as exc:

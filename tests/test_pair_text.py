@@ -17,7 +17,7 @@ import pytest
 
 from rankmerge import rstats
 from rankmerge.matrix import DataMatrix
-from rankmerge.rstats import write_pairwise_text
+from rankmerge.rstats import pearson, write_pairwise_text
 
 NA = math.nan
 
@@ -258,12 +258,15 @@ def test_exact_values_occur(pairs):
         assert f"{value} u\t{value} v\t{value}\n" in text
 
 
-def test_masked_cancellation_still_prints_above_one():
-    # the engine's cancellation (r above 1), pinned until it is mended
-    m, method = _masked_case()
-    buf = io.StringIO()
-    write_pairwise_text(m, buf, method)
-    assert buf.getvalue() == "a\tb\t1.019049330730136\n"
+def test_masked_outliers_print_pearsons_bytes():
+    # an outlier outside the pair dominates each row's one-pass sums, so
+    # the engine hands the pair to pearson, whose bytes it prints
+    for outlier in (1e7, 1e8, 1e9):
+        rows = [[outlier, 1, 2, 4], [NA, 1, 2, 3]]
+        buf = io.StringIO()
+        write_pairwise_text(dm(["a", "b"], rows), buf)
+        assert pearson(*rows) == 0.9819805060619657
+        assert buf.getvalue() == "a\tb\t0.9819805060619657\n"
 
 
 def test_names_keep_every_byte():

@@ -68,7 +68,8 @@ def exact_r(x, y) -> float:
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
     sxx = sum((a - mx) ** 2 for a in x)
     syy = sum((b - my) ** 2 for b in y)
-    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+    # the sign from the Fraction: near 1e308 sxy overflows a float
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), -1 if sxy < 0 else 1)
 
 
 class TestPearson:
@@ -117,6 +118,17 @@ class TestPearson:
         x, y = rng.normal(size=(2, 20))
         x *= scale
         assert pearson(x, y) == pytest.approx(exact_r(x, y), rel=1e-14)
+
+    @pytest.mark.parametrize("x, y, want", [
+        pytest.param([0, 0, 1], [0, 0, 5e-324], 1.0, id="subnormal"),
+        pytest.param([1.5e308, 1.7e308, 1e308], [1, 2, 3], -0.6933752452815365,
+                     id="sum_overflows"),
+    ])
+    def test_scaled_by_a_power_of_two_before_centring(self, x, y, want):
+        # centred first, the subnormal mean rounds to 0 and the sum of
+        # the large values overflows
+        assert exact_r(x, y) == pytest.approx(want, abs=1e-15)
+        assert abs(pearson(x, y) - want) <= 1e-15
 
 
 class TestSpearman:
@@ -357,12 +369,16 @@ class TestPairwise:
             with pytest.raises(ValueError, match="zero variance"):
                 pearson(row, rows[3])
 
-    def test_too_many_columns_with_missing_values_rejected(self):
-        vals = np.arange(3 * 9066, dtype=float).reshape(3, 9066)
-        vals[0, 0] = NA
+    def test_wide_matrix_with_missing_values_agrees_with_pearson(self):
+        # past 9,065 columns, sums of squared doubled midranks pass 2^53
+        rng = np.random.default_rng(23)
+        vals = rng.normal(size=(3, 9066))
+        vals[rng.random(vals.shape) < 0.05] = NA
         m = dm(["a", "b", "c"], [f"c{j}" for j in range(9066)], vals)
-        with pytest.raises(ValueError, match="9,065"):
-            collect_pairs(m)
+        got, _ = collect_pairs(m)
+        assert [p[:2] for p in got] == [("a", "b"), ("a", "c"), ("b", "c")]
+        for (_, _, r), (i, j) in zip(got, combinations(range(3), 2)):
+            assert abs(r - pearson(vals[i], vals[j])) <= 1e-12
 
     @pytest.mark.parametrize("missing", [False, True], ids=["dense", "missing"])
     @pytest.mark.parametrize("x", [
