@@ -1,89 +1,62 @@
-"""Rank-based merging and analysis of expression matrices."""
+"""Rank-based merging and analysis of expression matrices.
 
-from .errors import (
-    AlreadyScoredError,
-    AnnotationError,
-    DegenerateDataError,
-    ManifestError,
-    NoCommonFeaturesError,
-    ParseError,
-)
-from .matrix import (
-    DataMatrix,
-    Dataset,
-    InfoMatrix,
-    common_rows,
-    exclude_samples,
-    median_column,
-    merge_datasets,
-    random_partition,
-    reduce_duplicates,
-    select_samples,
-)
-from .ingest import (
-    SeriesMatrixDocument,
-    annotate,
-    load_dataset,
-    parse_annotation,
-    parse_series_matrix,
-    save_dataset,
-    serialize_series_matrix,
-)
-from .transform import ecdf_score, midrank, score_dataset, score_matrix, vdw_score
-from .numerics import (
-    LogP,
-    chi_sq_upper_tail_ln,
-    inv_norm_cdf,
-    log_choose,
-    norm_upper_tail_ln,
-)
-from .rstats import (
-    GeneSet,
-    ResultTable,
-    TestResult,
-    apply_fdr,
-    benjamini_yekutieli,
-    correlation_threshold,
-    enrich_genesets,
-    fisher_enrichment,
-    heterogeneity_split,
-    kruskal_wallis,
-    kw_per_feature,
-    median_correlation,
-    pair_count,
-    pairwise_row_correlations,
-    parse_gmt,
-    pearson,
-    rank_features,
-    sample_groups,
-    significant_features,
-    spearman,
-    wilcoxon_group_vs_rest,
-    wilcoxon_one_sided,
-    wilcoxon_per_feature,
-    write_pairwise_text,
-)
-from .multivar import factor_plot_medians, pca, project_first_plane
+Each public name loads its module on first use (PEP 562), so importing
+the package, as ``python -m rankmerge.cli`` does first, imports none of
+its modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlreadyScoredError", "AnnotationError", "DegenerateDataError",
-    "ManifestError", "NoCommonFeaturesError", "ParseError",
-    "DataMatrix", "Dataset", "InfoMatrix",
-    "common_rows", "exclude_samples", "heterogeneity_split", "median_column",
-    "merge_datasets", "random_partition", "reduce_duplicates", "select_samples",
-    "SeriesMatrixDocument", "annotate", "load_dataset", "parse_annotation",
-    "parse_series_matrix", "save_dataset", "serialize_series_matrix",
-    "ecdf_score", "midrank", "score_dataset", "score_matrix", "vdw_score",
-    "LogP", "chi_sq_upper_tail_ln", "inv_norm_cdf", "log_choose",
-    "norm_upper_tail_ln",
-    "GeneSet", "ResultTable", "TestResult", "apply_fdr", "benjamini_yekutieli",
-    "correlation_threshold", "enrich_genesets", "fisher_enrichment",
-    "kruskal_wallis", "kw_per_feature", "median_correlation", "pair_count",
-    "pairwise_row_correlations", "parse_gmt", "pearson", "rank_features",
-    "sample_groups", "significant_features", "spearman", "wilcoxon_group_vs_rest",
-    "wilcoxon_one_sided", "wilcoxon_per_feature", "write_pairwise_text",
-    "factor_plot_medians", "pca", "project_first_plane",
-    "__version__",
-]
+# public name -> the module that defines it, in the order of __all__
+_EXPORTS = {
+    "AlreadyScoredError": "errors", "AnnotationError": "errors",
+    "DegenerateDataError": "errors", "ManifestError": "errors",
+    "NoCommonFeaturesError": "errors", "ParseError": "errors",
+    "DataMatrix": "matrix", "Dataset": "matrix", "InfoMatrix": "matrix",
+    "common_rows": "matrix", "exclude_samples": "matrix",
+    "heterogeneity_split": "rstats", "median_column": "matrix",
+    "merge_datasets": "matrix", "random_partition": "matrix",
+    "reduce_duplicates": "matrix", "select_samples": "matrix",
+    "SeriesMatrixDocument": "ingest", "annotate": "ingest",
+    "load_dataset": "ingest", "parse_annotation": "ingest",
+    "parse_series_matrix": "ingest", "save_dataset": "ingest",
+    "serialize_series_matrix": "ingest",
+    "ecdf_score": "transform", "midrank": "transform",
+    "score_dataset": "transform", "score_matrix": "transform",
+    "vdw_score": "transform",
+    "LogP": "numerics", "chi_sq_upper_tail_ln": "numerics",
+    "inv_norm_cdf": "numerics", "log_choose": "numerics",
+    "norm_upper_tail_ln": "numerics",
+    "GeneSet": "rstats", "ResultTable": "rstats", "TestResult": "rstats",
+    "apply_fdr": "rstats", "benjamini_yekutieli": "rstats",
+    "correlation_threshold": "rstats", "enrich_genesets": "rstats",
+    "fisher_enrichment": "rstats", "kruskal_wallis": "rstats",
+    "kw_per_feature": "rstats", "median_correlation": "rstats",
+    "pair_count": "rstats", "pairwise_row_correlations": "rstats",
+    "parse_gmt": "rstats", "pearson": "rstats", "rank_features": "rstats",
+    "sample_groups": "rstats", "significant_features": "rstats",
+    "spearman": "rstats", "wilcoxon_group_vs_rest": "rstats",
+    "wilcoxon_one_sided": "rstats", "wilcoxon_per_feature": "rstats",
+    "write_pairwise_text": "rstats",
+    "factor_plot_medians": "multivar", "pca": "multivar",
+    "project_first_plane": "multivar",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -31,9 +31,19 @@ Primary outputs are written to "<path>.partial" and renamed into place
 on success, so an interrupted or failed run never leaves a truncated
 file at the final path; a command that fails removes its partial file.
 
+A process imports only what its command uses.  This module imports
+errors, ingest and matrix (and the package's ``__init__``, which imports
+none of its modules); each command's parser entry in ``_build_parser``
+declares the other modules it needs, which ``main`` imports after
+parsing: transform for score; rstats for test, enrich, median-cor,
+pairwise and split-het; multivar and svgplot for pca and factor-plot,
+and rstats for pca only with --top.  The names the commands take from
+those modules are listed in ``_DEFERRED``; reading one as an attribute
+of this module imports its module first.
+
 The process entry, ``python -m rankmerge.cli`` or the installed
-``rankmerge`` script (both call ``main()`` without arguments), first
-calls ``gc.freeze()``: the objects alive after the imports (numpy, the
+``rankmerge`` script (both call ``main()`` without arguments), calls
+``gc.freeze()`` after those imports: the objects alive then (numpy, the
 standard library, this package) go to the collector's permanent
 generation, so the full collections the interpreter runs at exit no
 longer scan them, about 40 ms per command.  ``main(argv)`` called
@@ -47,6 +57,7 @@ import argparse
 import dataclasses
 import difflib
 import gc
+import importlib
 import json
 import os
 import shutil
@@ -75,7 +86,9 @@ from .ingest import (
     text_lines,
 )
 from .matrix import (
+    CORRELATION_METHODS,
     MATCH_MODES,
+    RANK_KEYS,
     RANK_SCORES,
     Dataset,
     common_rows,
@@ -86,31 +99,23 @@ from .matrix import (
     reduce_duplicates,
     select_samples,
 )
-from .multivar import factor_plot_medians, pca, project_first_plane
-from .rstats import (
-    CORRELATION_METHODS,
-    RANK_KEYS,
-    apply_fdr,
-    benjamini_yekutieli,
-    correlation_threshold,
-    enrich_genesets,
-    heterogeneity_split,
-    kw_per_feature,
-    median_correlation,
-    p_cells,
-    pairwise_row_correlations,  # unused; bench/run.py wraps this cli name
-    parse_gmt,
-    rank_features,
-    sample_groups,
-    significant_features,
-    wilcoxon_group_vs_rest,  # unused; bench/run.py wraps this cli name
-    wilcoxon_per_feature,
-    write_pairwise_text,
-    write_results_tsv,
-    read_results_tsv,
-)
-from .svgplot import build_plot_spec, render_svg
-from .transform import score_dataset
+
+# The names the commands take from the modules imported after parsing
+# (see the module docstring).  No command calls pairwise_row_correlations
+# or wilcoxon_group_vs_rest; bench/run.py wraps them as attributes of cli.
+_DEFERRED = {
+    "transform": ("score_dataset",),
+    "rstats": (
+        "apply_fdr", "benjamini_yekutieli", "correlation_threshold",
+        "enrich_genesets", "heterogeneity_split", "kw_per_feature",
+        "median_correlation", "p_cells", "pairwise_row_correlations",
+        "parse_gmt", "rank_features", "read_results_tsv", "sample_groups",
+        "significant_features", "wilcoxon_group_vs_rest",
+        "wilcoxon_per_feature", "write_pairwise_text", "write_results_tsv",
+    ),
+    "multivar": ("factor_plot_medians", "pca", "project_first_plane"),
+    "svgplot": ("build_plot_spec", "render_svg"),
+}
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -566,6 +571,39 @@ def cmd_split_het(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
+# per-command imports
+# ---------------------------------------------------------------------------
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind the names the commands take from it.
+
+    A name already bound stays: the traced benchmark may have replaced
+    it with a wrapper before the command runs."""
+    mod = importlib.import_module(f".{module}", __package__)
+    for name in _DEFERRED.get(module, ()):
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    """A name of ``_DEFERRED``, imported on first use."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _import_modules(command: _Parser, args: argparse.Namespace) -> None:
+    """Import the modules ``command`` declares for this run: each entry
+    is a module name, or (module, option) for a module needed only when
+    the option is given."""
+    for entry in command.modules:
+        module, option = (entry, None) if isinstance(entry, str) else entry
+        if option is None or getattr(args, option) is not None:
+            _bind(module)
+
+
+# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -583,10 +621,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, modules=()):
+        """A command's parser; ``modules`` are the modules it imports
+        after parsing, beyond errors, ingest and matrix."""
         p = sub.add_parser(name, parents=[common], help=help_text,
                            description=help_text)
         p.set_defaults(func=func)
+        p.modules = modules
         return p
 
     p = add("ingest", cmd_ingest, "parse, annotate and reduce a series matrix")
@@ -599,7 +640,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--name", help="dataset name (default: series file stem)")
 
     p = add("score", cmd_score, "replace values by per-column rank scores; "
-            "this assumes most features unchanged (see README)")
+            "this assumes most features unchanged (see README)",
+            ("transform",))
     p.add_argument("dataset")
     p.add_argument("--kind", required=True, choices=RANK_SCORES)
     p.add_argument("--out", required=True)
@@ -629,19 +671,21 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="directory receiving part1..partN")
 
     p = add("median-cor", cmd_median_cor,
-            "correlation matrix of dataset median profiles")
+            "correlation matrix of dataset median profiles", ("rstats",))
     p.add_argument("datasets", nargs="+")
     p.add_argument("--method", choices=CORRELATION_METHODS, default="pearson")
     p.add_argument("--out", required=True)
 
-    p = add("pairwise", cmd_pairwise, "stream all row-pair correlations")
+    p = add("pairwise", cmd_pairwise, "stream all row-pair correlations",
+            ("rstats",))
     p.add_argument("dataset")
     p.add_argument("--method", choices=CORRELATION_METHODS, default="pearson")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and unused, >= 1")
     p.add_argument("--out", required=True)
 
-    p = add("test", cmd_test, "per-feature group tests with FDR control")
+    p = add("test", cmd_test, "per-feature group tests with FDR control",
+            ("rstats",))
     p.add_argument("datasets", nargs="+",
                    help="group datasets, or one dataset to split by --field")
     p.add_argument("--test", required=True, choices=("kw", "wilcoxon"))
@@ -659,7 +703,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--rank-by", dest="rank_by", choices=RANK_KEYS, default="p")
     p.add_argument("--out", required=True)
 
-    p = add("pca", cmd_pca, "scatter samples on the first principal plane")
+    p = add("pca", cmd_pca, "scatter samples on the first principal plane",
+            ("multivar", "svgplot", ("rstats", "top")))
     p.add_argument("datasets", nargs="+")
     p.add_argument("--features", help="comma-separated feature symbols")
     p.add_argument("--top", type=int,
@@ -674,12 +719,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out-tsv", dest="out_tsv", help="point coordinates")
 
     p = add("factor-plot", cmd_factor_plot,
-            "project dataset median vectors on the first plane")
+            "project dataset median vectors on the first plane",
+            ("multivar", "svgplot"))
     p.add_argument("datasets", nargs="+")
     p.add_argument("--out-svg", dest="out_svg", required=True)
     p.add_argument("--out-tsv", dest="out_tsv", help="dataset coordinates")
 
-    p = add("enrich", cmd_enrich, "gene-set enrichment of significant features")
+    p = add("enrich", cmd_enrich, "gene-set enrichment of significant features",
+            ("rstats",))
     p.add_argument("results", help="results table from the test command")
     p.add_argument("gmt", help="gene sets in GMT format")
     p.add_argument("--universe",
@@ -690,7 +737,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", required=True)
 
     p = add("split-het", cmd_split_het,
-            "split samples by the sign of one feature and correlate halves")
+            "split samples by the sign of one feature and correlate halves",
+            ("rstats",))
     p.add_argument("dataset")
     p.add_argument("--feature", required=True)
 
@@ -736,14 +784,16 @@ def _check_leading_flags(argv) -> None:
 def main(argv=None) -> int:
     """Run one command.  ``argv=None`` (read sys.argv) is the process
     entry, which freezes the start-up objects (see the module docstring)."""
-    if argv is None:
-        gc.freeze()
     parser, commands = _build_parser()
     try:
         _check_leading_flags(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         config = _load_config(getattr(args, "config", None))
-        _resolve_options(args, config, commands[args.command])
+        command = commands[args.command]
+        _resolve_options(args, config, command)
+        _import_modules(command, args)
+        if argv is None:
+            gc.freeze()
         return args.func(args)
     except tuple(t for t, _ in _EXIT_CODES) as exc:
         # str() of a KeyError is the repr of its message

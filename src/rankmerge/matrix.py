@@ -22,11 +22,13 @@ from .errors import NoCommonFeaturesError
 RANK_SCORES = ("ecdf", "vdw")
 SCORE_KINDS = ("none", *RANK_SCORES)
 MATCH_MODES = ("exact", "substring")
+CORRELATION_METHODS = ("pearson", "spearman")
+RANK_KEYS = ("p", "statistic")  # the orders of rstats.rank_features
 
 
 def _as_name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:
-    out = tuple(str(n) for n in names)
-    if any(n == "" for n in out):
+    out = tuple(map(str, names))
+    if "" in out:
         raise ValueError(f"{what} must be non-empty strings")
     return out
 
@@ -435,9 +437,15 @@ def random_partition(ds: Dataset, sizes: Sequence[int], seed: int) -> list[Datas
 # ---------------------------------------------------------------------------
 
 def median_column(m: DataMatrix) -> np.ndarray:
-    """Per-row median over non-missing entries (mean of central two when even)."""
-    all_missing = np.all(np.isnan(m.values), axis=1)
-    if np.any(all_missing):
-        bad = m.row_names[int(np.argmax(all_missing))]
+    """Per-row median over non-missing entries (mean of central two when even).
+
+    Each row is sorted, which puts NaN last, and its two middle present
+    cells are averaged as ``np.nanmedian`` does, without importing
+    ``numpy.ma`` as ``np.nanmedian`` does for short rows."""
+    present = m.n_cols - np.count_nonzero(np.isnan(m.values), axis=1)
+    if np.any(present == 0):
+        bad = m.row_names[int(np.argmin(present))]
         raise ValueError(f"row {bad!r} has no non-missing values")
-    return np.nanmedian(m.values, axis=1)
+    ordered = np.sort(m.values, axis=1)
+    rows = np.arange(m.n_rows)
+    return (ordered[rows, (present - 1) // 2] + ordered[rows, present // 2]) / 2

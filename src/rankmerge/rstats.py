@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParseError
 from .ingest import read_tab_table, text_lines
-from .matrix import (DataMatrix, Dataset, common_rows, exclude_samples,
-                     median_column, select_samples)
+from .matrix import (CORRELATION_METHODS, RANK_KEYS, DataMatrix, Dataset,
+                     common_rows, exclude_samples, median_column,
+                     select_samples)
 from .numerics import (
     _LN_P_FLOOR,
     LogP,
@@ -40,7 +41,6 @@ from .numerics import (
 from .transform import RANK_BLOCK_CELLS, rank_rows
 
 DIRECTIONS = ("over", "under", "none")
-RANK_KEYS = ("p", "statistic")  # the orders of rank_features
 _OVER, _UNDER, _NONE = range(len(DIRECTIONS))
 
 
@@ -144,7 +144,9 @@ def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def pearson(x, y) -> float:
     """Pearson correlation after pairwise-complete missing removal.  Each
     vector is scaled by a power of two (exact), centred, then scaled to
-    max |value| 1, so no sum or product overflows or underflows."""
+    max |value| 1, so no sum or product overflows or underflows.  The
+    sums of products are ``math.fsum``'s, so their bits depend on no BLAS
+    build or thread count."""
     x, y = _vector_pair(x, y)
     keep = ~(np.isnan(x) | np.isnan(y))
     xc, yc = x[keep], y[keep]
@@ -156,8 +158,8 @@ def pearson(x, y) -> float:
     for v in (xm, ym):
         v -= v.mean()
         v /= np.abs(v).max()
-    sx, sy = (math.sqrt(float(v @ v)) for v in (xm, ym))
-    return float(xm @ ym) / (sx * sy)
+    sx, sy = (math.sqrt(math.fsum(v * v)) for v in (xm, ym))
+    return math.fsum(xm * ym) / (sx * sy)
 
 
 def spearman(x, y) -> float:
@@ -186,7 +188,6 @@ def correlation_threshold(n: int, alpha: float = 0.05, sided: str = "one") -> fl
 
 
 _CORR_FUNCS: dict[str, Callable] = {"pearson": pearson, "spearman": spearman}
-CORRELATION_METHODS = tuple(_CORR_FUNCS)
 
 
 def median_correlation(x, y, method: str = "pearson") -> float:

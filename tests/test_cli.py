@@ -942,19 +942,80 @@ def test_bad_dataset_directory_exit_2(tmp_path, capsys, spoil):
     assert stderr.startswith("error: ") and "Traceback" not in stderr
 
 
+PACKAGE = Path(cli.__file__).resolve().parent
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """``python -c code`` in a fresh interpreter that finds this package."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+
+
 def test_cli_import_leaves_out_url_modules():
-    """Every run imports the CLI, so it must not pull in modules no
-    command needs: saxutils would bring urllib.request and http.client,
-    and the pairwise engine starts no thread pool."""
-    import rankmerge
-    src = Path(rankmerge.__file__).resolve().parent.parent
-    code = ("import sys, rankmerge.cli; "
+    """No command may pull in modules it does not need: saxutils would
+    bring urllib.request and http.client, and the pairwise engine starts
+    no thread pool.  Every module a command can load is imported."""
+    code = ("import sys, rankmerge.cli, rankmerge.rstats, rankmerge.multivar, "
+            "rankmerge.svgplot; "
             "print(sorted(m for m in ('urllib.request', 'http.client', "
             "'concurrent.futures') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    proc = _fresh(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules that ``module``'s top level imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_each_command_loads_only_its_declared_modules(tmp_path):
+    """A fresh process (what ``python -m rankmerge.cli`` runs) loads cli's
+    own imports and the modules its command declares, with their own
+    imports, and no other module of the package."""
+    _, commands = cli._build_parser()
+    ds, scored = tmp_path / "ds", tmp_path / "ds_vdw"
+    runs = [
+        ["ingest", FIXTURES / "study_a.txt", FIXTURES / "annotation_study.tsv",
+         "--out", ds],
+        ["score", ds, "--kind", "vdw", "--out", scored],
+        ["test", scored, "--test", "kw", "--field",
+         "Sample_characteristics_ch1", "--out", tmp_path / "kw.tsv"],
+    ]
+    for argv in runs:
+        argv = ["rankmerge", *map(str, argv)]
+        proc = _fresh(
+            "import atexit, runpy, sys; atexit.register(lambda: print("
+            "sorted(m for m in sys.modules if m.startswith('rankmerge.')))); "
+            f"sys.argv = {argv!r}; runpy.run_module('rankmerge.cli', "
+            "run_name='__main__', alter_sys=True)")
+        assert proc.returncode == 0, proc.stderr
+        todo, loaded = ["cli", *commands[argv[1]].modules], set()
+        while todo:
+            module = todo.pop()
+            if module not in loaded:
+                loaded.add(module)
+                todo += _package_imports(module)
+        expected = sorted(f"rankmerge.{m}" for m in loaded - {"cli"})
+        assert proc.stdout.splitlines()[-1] == repr(expected), argv[1]
+
+
+def test_package_names_load_on_first_use():
+    proc = _fresh(
+        "import sys, rankmerge\n"
+        "print(sorted(m for m in sys.modules if m.startswith('rankmerge.')))\n"
+        "from rankmerge import *\n"
+        "print([n for n in rankmerge.__all__ if n not in globals()])\n"
+        "try:\n"
+        "    rankmerge.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "[]", "module 'rankmerge' has no attribute 'no_such_name'"]
 
 
 def _spoiled(path, target, data: bytes):

@@ -533,6 +533,21 @@ class TestMedianColumn:
         perm = rng.permutation(9).tolist()
         assert np.array_equal(median_column(m), median_column(m.take_cols(perm)))
 
+    def test_bits_of_nanmedian(self):
+        # np.nanmedian takes numpy.ma for rows under 600 cells and a
+        # per-row np.median above; every tenth draw is on the long side
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            rows = rng.integers(1, 30)
+            cols = rng.integers(1, 800 if seed % 10 == 0 else 40)
+            vals = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+            vals[rng.random((rows, cols)) < 0.3] = NA
+            vals[:, 0] = rng.normal(size=rows)  # no row all missing
+            m = dm([f"r{i}" for i in range(rows)],
+                   [f"c{j}" for j in range(cols)], vals)
+            assert median_column(m).tobytes() \
+                == np.nanmedian(vals, axis=1).tobytes(), seed
+
 
 class TestHeterogeneitySplit:
     def test_negated_half_gives_minus_one(self):

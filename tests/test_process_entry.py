@@ -6,6 +6,7 @@ collector."""
 import filecmp
 import gc
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from rankmerge.cli import main
+
+from test_cli_options import readme_commands
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -35,9 +38,9 @@ def _env() -> dict:
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-def _child(args: list[str]) -> subprocess.CompletedProcess:
+def _child(args: list[str], cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=_env(), timeout=120)
+                          text=True, env=_env(), timeout=120, cwd=cwd)
 
 
 def _in_process(capsys, argv) -> tuple[int, str, str]:
@@ -70,6 +73,26 @@ def test_python_m_matches_in_process_main(tmp_path, capsys, series, code):
     else:
         assert got[2].startswith("error: ") and "line 3" in got[2]
         assert not (tmp_path / "child").exists()
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_readme_walkthrough_as_processes(tmp_path, capsys, monkeypatch):
+    """Each command of README's walkthrough in its own process, which
+    imports only that command's modules, exits 0 with the stdout and
+    the files of ``main(argv)`` run in-process."""
+    child, inproc = tmp_path / "child", tmp_path / "inproc"
+    for root in (child, inproc):
+        shutil.copytree(FIXTURES, root / "tests" / "fixtures")
+    monkeypatch.chdir(inproc)
+    for argv in readme_commands():
+        proc = _child(["-m", "rankmerge.cli", *argv], cwd=child)
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == _in_process(capsys, argv) == (0, proc.stdout, ""), argv
+    assert _files(child) == _files(inproc)
 
 
 def test_console_script_targets_main():

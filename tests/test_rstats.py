@@ -176,6 +176,10 @@ class TestCorrelationThreshold:
 
 
 class TestMedianCorrelation:
+    def test_every_declared_method_has_a_function(self):
+        # matrix declares the names so that the CLI parser needs no rstats
+        assert tuple(rstats._CORR_FUNCS) == rstats.CORRELATION_METHODS
+
     def test_identical(self):
         v = np.array([1.0, 2.0, 3.0, 2.5])
         assert median_correlation(v, v, "pearson") == pytest.approx(1.0)
