@@ -14,6 +14,7 @@ _EXPORTS = {
     "AlreadyScoredError": "errors", "AnnotationError": "errors",
     "DegenerateDataError": "errors", "ManifestError": "errors",
     "NoCommonFeaturesError": "errors", "ParseError": "errors",
+    "UnknownFeatureError": "errors", "EmptyUniverseError": "errors",
     "DataMatrix": "matrix", "Dataset": "matrix", "InfoMatrix": "matrix",
     "common_rows": "matrix", "exclude_samples": "matrix",
     "heterogeneity_split": "rstats", "median_column": "matrix",

@@ -22,10 +22,11 @@ A usage fault the command line alone shows, such as test's --field with
 several datasets or pca's --top without --results, is refused (exit 1)
 before any input is read, so an unreadable input never hides it.
 
-Exit codes: 0 success, 1 usage or generic data error, 2 input parse
-error, 3 annotation failure, 4 dataset already scored, 5 no common
-features, 6 degenerate grouping, 7 unknown feature symbol, 8 empty
-enrichment universe.
+Exit codes: 0 success; a failure exits with the ``exit_code`` that its
+class in ``rankmerge.errors`` declares, and a usage error or any other
+ValueError, KeyError or OSError with 1, after one "error:" line on
+stderr.  An unknown feature is decided where the rows are taken:
+``DataMatrix.take_rows`` raises ``UnknownFeatureError`` (exit 7).
 
 Primary outputs are written to "<path>.partial" and renamed into place
 on success, so an interrupted or failed run never leaves a truncated
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import difflib
 import gc
 import importlib
 import json
@@ -67,14 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AlreadyScoredError,
-    AnnotationError,
-    DegenerateDataError,
-    ManifestError,
-    NoCommonFeaturesError,
-    ParseError,
-)
+from .errors import DegenerateDataError, EmptyUniverseError, ParseError
 from .ingest import (
     MULTI_POLICIES,
     annotate,
@@ -117,31 +110,9 @@ _DEFERRED = {
     "svgplot": ("build_plot_spec", "render_svg"),
 }
 
-EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_ANNOTATION = 3
-EXIT_ALREADY_SCORED = 4
-EXIT_NO_COMMON = 5
-EXIT_DEGENERATE = 6
-EXIT_UNKNOWN_FEATURE = 7
-EXIT_EMPTY_UNIVERSE = 8
-
 
 class _UsageError(Exception):
-    pass
-
-
-class _UnknownFeatureError(Exception):
-    def __init__(self, symbol: str, candidates):
-        near = difflib.get_close_matches(symbol, list(candidates), n=5)
-        msg = f"unknown feature {symbol!r}"
-        if near:
-            msg += "; closest matches: " + ", ".join(near)
-        super().__init__(msg)
-
-
-class _EmptyUniverseError(Exception):
-    pass
+    exit_code = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,13 +262,6 @@ def _save_dataset_atomic(ds: Dataset, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def _check_features(symbols, available) -> None:
-    known = set(available)
-    for s in symbols:
-        if s not in known:
-            raise _UnknownFeatureError(s, available)
-
 
 def _median_profiles(dsets: list[Dataset]):
     """The features common to ``dsets`` and each dataset's median over them."""
@@ -497,7 +461,6 @@ def cmd_pca(args: argparse.Namespace) -> int:
     else:
         labels = [d.name for d in dsets for _ in range(d.n_samples)]
 
-    _check_features(wanted, ds.data.row_names)
     x = ds.data.take_rows(wanted).values.T
     result = pca(x, scale=args.scale)
     points = project_first_plane(result, labels, names=ds.data.col_names)
@@ -539,7 +502,7 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     else:
         universe = set(results.features)
     if not universe:
-        raise _EmptyUniverseError("the enrichment universe is empty")
+        raise EmptyUniverseError("the enrichment universe is empty")
 
     gene_sets = parse_gmt(args.gmt)
     rows = enrich_genesets(selected, universe, gene_sets)
@@ -561,7 +524,6 @@ def cmd_enrich(args: argparse.Namespace) -> int:
 
 def cmd_split_het(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
-    _check_features([args.feature], ds.data.row_names)
     try:
         r, (n_pos, n_neg) = heterogeneity_split(ds, args.feature)
     except ValueError as exc:
@@ -746,24 +708,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-# Exit code per exception type, first match wins: ParseError and the
-# other package errors subclass ValueError, so they come before it.
-_EXIT_CODES = (
-    (_UsageError, EXIT_USAGE),
-    (ParseError, EXIT_PARSE),
-    (ManifestError, EXIT_PARSE),
-    (AnnotationError, EXIT_ANNOTATION),
-    (AlreadyScoredError, EXIT_ALREADY_SCORED),
-    (NoCommonFeaturesError, EXIT_NO_COMMON),
-    (DegenerateDataError, EXIT_DEGENERATE),
-    (_UnknownFeatureError, EXIT_UNKNOWN_FEATURE),
-    (_EmptyUniverseError, EXIT_EMPTY_UNIVERSE),
-    (ValueError, EXIT_USAGE),
-    (KeyError, EXIT_USAGE),
-    (OSError, EXIT_USAGE),
-)
-
-
 def _check_leading_flags(argv) -> None:
     """Refuse a flag before the command name other than --seed, --config
     and help, or a prefix argparse expands to one of them: argparse would
@@ -795,11 +739,11 @@ def main(argv=None) -> int:
         if argv is None:
             gc.freeze()
         return args.func(args)
-    except tuple(t for t, _ in _EXIT_CODES) as exc:
-        # str() of a KeyError is the repr of its message
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    except (_UsageError, ValueError, KeyError, OSError) as exc:
+        # str() of a plain KeyError is the repr of its message
+        msg = exc.args[0] if type(exc) is KeyError and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
-        return next(code for t, code in _EXIT_CODES if isinstance(exc, t))
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NoCommonFeaturesError
+from .errors import NoCommonFeaturesError, UnknownFeatureError
 
 RANK_SCORES = ("ecdf", "vdw")
 SCORE_KINDS = ("none", *RANK_SCORES)
@@ -86,17 +86,18 @@ class DataMatrix:
         return idx
 
     def row(self, name: str) -> np.ndarray:
-        try:
-            return self.values[self.row_index()[name]]
-        except KeyError:
-            raise KeyError(f"no row named {name!r}") from None
+        return self.take_rows([name]).values[0]
 
     def take_rows(self, names: Sequence[str]) -> "DataMatrix":
         """The rows called ``names``, in that order; first occurrence
-        wins on duplicates, as in :meth:`row_index`."""
+        wins on duplicates, as in :meth:`row_index`.  The first name that
+        is no row raises :class:`UnknownFeatureError`."""
         idx = self.row_index()
-        return DataMatrix(tuple(names), self.col_names,
-                          self.values[[idx[n] for n in names]])
+        try:
+            rows = [idx[n] for n in names]
+        except KeyError as exc:
+            raise UnknownFeatureError(exc.args[0], self.row_names) from None
+        return DataMatrix(tuple(names), self.col_names, self.values[rows])
 
     def take_cols(self, indices: Sequence[int]) -> "DataMatrix":
         return DataMatrix(self.row_names,

@@ -18,12 +18,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParseError
+from .errors import DegenerateDataError, EmptyUniverseError, ParseError
 from .ingest import read_tab_table, text_lines
 from .matrix import (CORRELATION_METHODS, RANK_KEYS, DataMatrix, Dataset,
                      common_rows, exclude_samples, median_column,
@@ -146,7 +146,8 @@ def pearson(x, y) -> float:
     vector is scaled by a power of two (exact), centred, then scaled to
     max |value| 1, so no sum or product overflows or underflows.  The
     sums of products are ``math.fsum``'s, so their bits depend on no BLAS
-    build or thread count."""
+    build or thread count.  r is clamped to [-1, 1]: the rounded norms
+    can leave it an ulp beyond; NaN stays NaN."""
     x, y = _vector_pair(x, y)
     keep = ~(np.isnan(x) | np.isnan(y))
     xc, yc = x[keep], y[keep]
@@ -159,7 +160,7 @@ def pearson(x, y) -> float:
         v -= v.mean()
         v /= np.abs(v).max()
     sx, sy = (math.sqrt(math.fsum(v * v)) for v in (xm, ym))
-    return math.fsum(xm * ym) / (sx * sy)
+    return float(np.clip(math.fsum(xm * ym) / (sx * sy), -1.0, 1.0))
 
 
 def spearman(x, y) -> float:
@@ -206,10 +207,9 @@ def heterogeneity_split(ds: Dataset, feature: str) -> tuple[float, tuple[int, in
     negative values the other (missing values sit in neither).  Returns
     the correlation between the two groups' median columns and the
     group sizes ``(n_nonnegative, n_negative)``.  A split that leaves
-    either side empty is rejected.
+    either side empty is rejected, and an unknown ``feature`` raises
+    :class:`~rankmerge.errors.UnknownFeatureError`.
     """
-    if feature not in ds.data.row_names:
-        raise KeyError(f"no feature named {feature!r}")
     row = ds.data.row(feature)
     pos, neg = np.flatnonzero(row >= 0.0).tolist(), np.flatnonzero(row < 0.0).tolist()
     if not pos or not neg:
@@ -260,14 +260,11 @@ def pairwise_row_correlations(m: DataMatrix,
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    emitted = 0
-    for s, r, keep in _correlation_blocks(m, method):
-        names = m.row_names[s:]
-        for k, a in enumerate(names[:len(r)]):
-            partners, rs = _partners(names, r, keep, k)
-            for b, v in zip(partners, rs):
-                sink(a, b, v)
-            emitted += len(rs)
+    names, emitted = np.array(m.row_names, dtype=object), 0
+    for i, j, r in _kept_pairs(m, method, _INDEX_PAIR_BYTES):
+        for a, b, v in zip(names[i].tolist(), names[j].tolist(), r.tolist()):
+            sink(a, b, v)
+        emitted += len(r)
     return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
 
 
@@ -276,36 +273,31 @@ def write_pairwise_text(m: DataMatrix, dest: TextIO,
     """Write one line "a<TAB>b<TAB>repr(r)" per pair that
     :func:`pairwise_row_correlations` emits, in the same order.
 
-    One process runs the block products, and one loop per block writes
-    it in runs of whole rows: as many rows as keep a run's lines within
-    about :data:`_CELL_BYTES`, and at least one.  A run's kept pairs
-    (k, j), in row order, are one byte matrix, a row per line, padded
-    with a byte that UTF-8 never uses; dropping that byte leaves each
-    line whole, whatever a name holds (NUL included).  So the text in
-    flight stays within the O(256 x rows) bound.  No argument moves an
-    output byte.
+    The pairs come a run of whole rows at a time (:func:`_kept_pairs`),
+    as many rows as keep a run's lines within about :data:`_CELL_BYTES`.
+    A run's kept pairs (i, j), in row order, are one byte matrix, a row
+    per line, padded with a byte that UTF-8 never uses; dropping that
+    byte leaves each line whole, whatever a name holds (NUL included).
+    So the text in flight stays within the O(256 x rows) bound.  No
+    argument moves an output byte.
     Each r is printed with repr's bytes: for 1e-4 <= |r| < 1 numpy works
     out the same digits exactly, and other values go through repr().
     """
-    blocks = _correlation_blocks(m, method)
     cells = _name_cells(m.row_names)
     emitted = 0
-    for s, r, keep in blocks:
-        run = max(1, _CELL_BYTES // ((2 * cells.shape[1] + _REPR_WIDTH) * r.shape[1]))
-        for a in range(0, len(r), run):
-            i, j = np.nonzero(np.triu(keep[a:a + run, a:], 1))
-            lines = np.concatenate([cells[s + a + i], cells[s + a + j],
-                                    _repr_cells(r[a:a + run, a:][i, j])], axis=1)
-            dest.write(lines.tobytes().translate(None, _PAD)
-                       .decode("utf-8", "surrogatepass"))
-            emitted += len(i)
+    for i, j, r in _kept_pairs(m, method, 2 * cells.shape[1] + _REPR_WIDTH):
+        lines = np.concatenate([cells[i], cells[j], _repr_cells(r)], axis=1)
+        dest.write(lines.tobytes().translate(None, _PAD)
+                   .decode("utf-8", "surrogatepass"))
+        emitted += len(r)
     return PairwiseResult(emitted, pair_count(m.n_rows) - emitted)
 
 
-# bytes of lines per run of rows: a long name or a wide block shortens
+# bytes in flight per run of rows: a long name or a wide block shortens
 # the run, and at about 40 bytes a line its per-pair temporaries come
 # from the heap, not fresh pages
 _CELL_BYTES = 2 ** 19
+_INDEX_PAIR_BYTES = 24  # the sink path's i, j and r: 8 bytes each per pair
 _PAD = b"\xff"  # never a byte of UTF-8
 
 
@@ -404,10 +396,17 @@ def _repr_cells(v: np.ndarray) -> np.ndarray:
     return cells.T
 
 
-def _partners(names: Sequence[str], r: np.ndarray, keep: np.ndarray, k: int):
-    """The kept later partners of row k and their correlations."""
-    ok = keep[k, k + 1:]
-    return compress(names[k + 1:], ok.tolist()), r[k, k + 1:][ok].tolist()
+def _kept_pairs(m: DataMatrix, method: str, pair_bytes: int):
+    """Yield (i, j, r) per run of whole rows of each block of
+    :func:`_correlation_blocks`: the row indexes i < j of the run's kept
+    pairs, in row order, and their correlations.  A run holds as many
+    rows as keep its pairs within about :data:`_CELL_BYTES` at
+    ``pair_bytes`` each, and at least one."""
+    for s, r, keep in _correlation_blocks(m, method):
+        run = max(1, _CELL_BYTES // (pair_bytes * r.shape[1]))
+        for a in range(0, len(r), run):
+            i, j = np.nonzero(np.triu(keep[a:a + run, a:], 1))
+            yield s + a + i, s + a + j, r[a:a + run, a:][i, j]
 
 
 def _correlation_blocks(m: DataMatrix, method: str):
@@ -436,6 +435,7 @@ def _block_correlations(vals: np.ndarray):
     one pass, unless a row's spread is at most :data:`_SPREAD_SHARE` of
     cnt x sum(z^2): then :func:`pearson` decides the pair.  Each row is
     first scaled by a power of two (exact): no product over- or underflows.
+    r is clamped to [-1, 1], as :func:`pearson` clamps it; NaN stays NaN.
     """
     missing = np.isnan(vals)
     present = (~missing).astype(float)
@@ -448,8 +448,8 @@ def _block_correlations(vals: np.ndarray):
         inv_norms = 1.0 / np.where(constant, np.inf, np.sqrt((z * z).sum(axis=1)))
 
         def dense(s: int, e: int):
-            return ((z[s:e] @ z[s:].T) * inv_norms[s:e, None] * inv_norms[s:],
-                    ~(constant[s:e, None] | constant[s:]))
+            r = (z[s:e] @ z[s:].T) * inv_norms[s:e, None] * inv_norms[s:]
+            return np.clip(r, -1.0, 1.0, out=r), ~(constant[s:e, None] | constant[s:])
         return dense
     zz = z * z
 
@@ -470,6 +470,7 @@ def _block_correlations(vals: np.ndarray):
         r = np.multiply(cnt, z[s:e] @ z[s:].T, out=cnt)
         r -= np.multiply(tx, ty, out=tx)
         r /= np.sqrt(np.multiply(vx, vy, out=vx), out=vx)
+        np.clip(r, -1.0, 1.0, out=r)
         for i, j in np.argwhere(np.triu(keep & (low_x | low_y), 1)).tolist():
             try:
                 r[i, j] = pearson(vals[s + i], vals[s + j])
@@ -865,7 +866,7 @@ def enrich_genesets(selected: set[str], universe: set[str],
     ``log_choose(n, k)`` is computed once per call.
     """
     if not universe:
-        raise ValueError("empty universe")
+        raise EmptyUniverseError("empty universe")
     sel = selected & universe
     ln_choose = lru_cache(maxsize=None)(log_choose)
     out = []

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmerge import cli, rstats
+from rankmerge import cli, errors, rstats
 from rankmerge.cli import _partial_file, main
 from rankmerge.ingest import load_dataset, save_dataset
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
@@ -945,6 +945,51 @@ def test_bad_dataset_directory_exit_2(tmp_path, capsys, spoil):
 PACKAGE = Path(cli.__file__).resolve().parent
 
 
+# ---------------------------------------------------------------------------
+# exit codes, generated from the error classes
+# ---------------------------------------------------------------------------
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and c.__module__ == errors.__name__]
+
+
+def _raising(monkeypatch, exc):
+    """Make split-het's command raise ``exc``; return its argv."""
+    def command(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_split_het", command)
+    return ["split-het", "ds", "--feature", "F"]
+
+
+@pytest.mark.parametrize("kind", [*ERROR_CLASSES, cli._UsageError],
+                         ids=lambda kind: kind.__name__)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, kind):
+    exc = (kind("GAT", ("GATA3",)) if kind is errors.UnknownFeatureError
+           else kind("boom"))
+    code, _, stderr = run(capsys, *_raising(monkeypatch, exc))
+    assert code == kind.exit_code
+    assert stderr == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("exc, line", [
+    (ValueError("bad value"), "error: bad value"),
+    (KeyError("k"), "error: k"),
+    (OSError("no disk"), "error: no disk"),
+], ids=["ValueError", "KeyError", "OSError"])
+def test_other_failures_exit_1(monkeypatch, capsys, exc, line):
+    code, _, stderr = run(capsys, *_raising(monkeypatch, exc))
+    assert (code, stderr) == (1, line + "\n")
+
+
+def test_readme_exit_table_lists_each_class_code():
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Exit codes"):]
+    section = section[:section.index("\n## ", 1)]
+    codes = [int(line.split("|")[1]) for line in section.splitlines()
+             if line.startswith("| ") and line[2].isdigit()]
+    assert codes == sorted({0, 1, *(c.exit_code for c in ERROR_CLASSES)})
+
+
 def _fresh(code: str) -> subprocess.CompletedProcess:
     """``python -c code`` in a fresh interpreter that finds this package."""
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -954,12 +999,13 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_out_url_modules():
     """No command may pull in modules it does not need: saxutils would
-    bring urllib.request and http.client, and the pairwise engine starts
-    no thread pool.  Every module a command can load is imported."""
+    bring urllib.request and http.client, the pairwise engine starts no
+    thread pool, and difflib is imported only to word an unknown
+    feature's message.  Every module a command can load is imported."""
     code = ("import sys, rankmerge.cli, rankmerge.rstats, rankmerge.multivar, "
             "rankmerge.svgplot; "
             "print(sorted(m for m in ('urllib.request', 'http.client', "
-            "'concurrent.futures') if m in sys.modules))")
+            "'concurrent.futures', 'difflib') if m in sys.modules))")
     proc = _fresh(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,11 +1,13 @@
+import difflib
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmerge.errors import NoCommonFeaturesError
+from rankmerge.errors import NoCommonFeaturesError, UnknownFeatureError
 from rankmerge.matrix import (
     DataMatrix,
     Dataset,
@@ -98,9 +100,23 @@ class TestDataMatrix:
         m = dm(["a", "b", "a"], ["c1"], [[1], [2], [3]])
         assert m.take_rows(["b", "a"]).values.tolist() == [[2], [1]]
 
-    def test_take_rows_unknown_name(self):
-        with pytest.raises(KeyError):
-            dm(["a"], ["c1"], [[1]]).take_rows(["zz"])
+    def test_take_rows_unknown_name(self, monkeypatch):
+        # the first unknown name raises; a caught miss looks for no close
+        # matches, and its message, once read, names them
+        def no_search(*args, **kwargs):
+            raise AssertionError("difflib called")
+
+        m = dm(["alpha", "b"], ["c1"], [[1], [2]])
+        monkeypatch.setattr(difflib, "get_close_matches", no_search)
+        with pytest.raises(KeyError) as info:
+            m.take_rows(["b", "alpah", "zz"])
+        assert type(info.value) is UnknownFeatureError
+        assert info.value.exit_code == 7
+        monkeypatch.undo()
+        assert str(info.value) == "unknown feature 'alpah'; closest matches: alpha"
+        assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+        with pytest.raises(UnknownFeatureError, match=r"^unknown feature 'zz'$"):
+            m.row("zz")
 
 
 class TestInfoMatrix:

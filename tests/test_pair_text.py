@@ -2,8 +2,10 @@
 
 ``reference_pair_lines`` below is the per-pair formatter that the numpy
 lines of ``rstats.write_pairwise_text`` replaced, with its own pair
-selection: every line of the writer must equal its bytes, whatever the
-names, the values and the rows per run (``_CELL_BYTES``).
+selection: every line of the writer, and every pair that
+``pairwise_row_correlations`` hands its sink, must equal its bytes,
+whatever the names, the values and the rows per run (``_CELL_BYTES``).
+Both take their pairs from one walk, so this oracle is the sink's too.
 The kernel test checks the number text alone against ``repr`` on a
 million and more doubles.
 """
@@ -17,7 +19,7 @@ import pytest
 
 from rankmerge import rstats
 from rankmerge.matrix import DataMatrix
-from rankmerge.rstats import pearson, write_pairwise_text
+from rankmerge.rstats import pairwise_row_correlations, pearson, write_pairwise_text
 
 NA = math.nan
 
@@ -230,6 +232,14 @@ def written(m, monkeypatch, cell_bytes, method="pearson"):
     return res, buf.getvalue(), buf.writes
 
 
+def sink_text(m, method="pearson"):
+    """(result, text) of ``pairwise_row_correlations``, a line per sink call."""
+    lines = []
+    res = pairwise_row_correlations(
+        m, lambda a, b, r: lines.append(f"{a}\t{b}\t{r!r}\n"), method)
+    return res, "".join(lines)
+
+
 def one_block(monkeypatch, r, keep):
     """Substitute (0, r, keep) for the engine's blocks."""
     monkeypatch.setattr(rstats, "_correlation_blocks",
@@ -245,6 +255,7 @@ def test_text_equals_reference(case, monkeypatch):
         res, text, n = written(m, monkeypatch, cell_bytes, method)
         assert text == want
         assert res.emitted == want.count("\n")
+        assert sink_text(m, method) == (res, want)
         writes.append(n)
     # a run of one row each, even of two rows; then runs of several
     assert writes[0] == m.n_rows > writes[1] >= writes[2]
@@ -299,6 +310,8 @@ def test_chosen_values_through_the_writer(monkeypatch):
     want = reference_pair_lines(names, r, keep)
     for cell_bytes in RUN_BYTES:
         res, text, _ = written(m, monkeypatch, cell_bytes)
+        assert (res.emitted, text) == want
+        res, text = sink_text(m)
         assert (res.emitted, text) == want
     assert all(f"\t{v!r}\n" in want[1] for v in BLOCK_VALUES)
 

@@ -130,6 +130,18 @@ class TestPearson:
         assert exact_r(x, y) == pytest.approx(want, abs=1e-15)
         assert abs(pearson(x, y) - want) <= 1e-15
 
+    def test_clamped_to_one(self):
+        # unclamped, the rounded norms leave 1.0000000000000002 here and
+        # for 544 of these 2,000 vectors against themselves
+        assert pearson([0, 0, 1], [0, 0, 1]) == 1.0
+        assert pearson([0, 0, 1], [0, 0, -1]) == -1.0
+        v = np.random.default_rng(0).normal(size=(2000, 5))
+        assert max(pearson(x, x) for x in v) == 1.0
+
+    def test_nan_stays_nan(self):
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(pearson([math.inf, 1, 2, 4], [1, 2, 3, 4]))
+
 
 class TestSpearman:
     def test_monotone_invariance_exact(self):
@@ -537,6 +549,32 @@ class TestWritePairwiseText:
         assert seen == [] and not multiprocessing.active_children()
         assert buf.getvalue() == _reference_text(m, method=method)[0]
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["dense", "masked"])
+    def test_every_r_within_one(self, missing):
+        # the first 200 of test_clamped_to_one's vectors, each twice:
+        # unclamped, 47 lines read |r| > 1, and 24 with every third row
+        # missing column 0
+        v = np.repeat(np.random.default_rng(0).normal(size=(2000, 5))[:200], 2, axis=0)
+        if missing:
+            v[::3, 0] = NA
+        buf = io.StringIO()
+        res = write_pairwise_text(dm([f"r{i}" for i in range(400)], list("abcde"), v), buf)
+        rs = np.array([line.rsplit("\t", 1)[1] for line in buf.getvalue().splitlines()],
+                      dtype=float)
+        assert res.emitted == len(rs) == pair_count(400)
+        assert np.abs(rs).max() == 1.0
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["dense", "masked"])
+    def test_nan_r_stays_nan(self, missing):
+        vals = [[math.inf, 1, 2, 4], [1, 2, 3, 4], [4, 1, 3, 2]]
+        if missing:
+            vals[2][0] = NA
+        buf = io.StringIO()
+        with np.errstate(invalid="ignore"):
+            write_pairwise_text(dm("abc", ["c1", "c2", "c3", "c4"], vals), buf)
+        assert [line.split("\t")[2] for line in buf.getvalue().splitlines()][:2] \
+            == ["nan", "nan"]
 
     @pytest.mark.parametrize("missing", [False, True])
     def test_memory_holds_one_block(self, missing, monkeypatch):
