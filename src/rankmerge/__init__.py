@@ -40,9 +40,11 @@ _EXPORTS = {
     "sample_groups": "rstats", "significant_features": "rstats",
     "spearman": "rstats", "wilcoxon_group_vs_rest": "rstats",
     "wilcoxon_one_sided": "rstats", "wilcoxon_per_feature": "rstats",
-    "write_pairwise_text": "rstats",
+    "write_pairwise_text": "rstats", "read_results_tsv": "rstats",
+    "write_results_tsv": "rstats", "p_cells": "rstats",
     "factor_plot_medians": "multivar", "pca": "multivar",
     "project_first_plane": "multivar",
+    "build_plot_spec": "svgplot", "render_svg": "svgplot",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

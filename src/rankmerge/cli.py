@@ -19,8 +19,9 @@ value (exit 1 before any input is read), and is otherwise unused: every
 command runs in one process.
 
 A usage fault the command line alone shows, such as test's --field with
-several datasets or pca's --top without --results, is refused (exit 1)
-before any input is read, so an unreadable input never hides it.
+several datasets, pca's --top without --results, --fdr or --threshold
+outside (0, 1), or a --sizes part below 1, is refused (exit 1) before
+any input is read, so an unreadable input never hides it.
 
 Exit codes: 0 success; a failure exits with the ``exit_code`` that its
 class in ``rankmerge.errors`` declares, and a usage error or any other
@@ -38,9 +39,9 @@ none of its modules); each command's parser entry in ``_build_parser``
 declares the other modules it needs, which ``main`` imports after
 parsing: transform for score; rstats for test, enrich, median-cor,
 pairwise and split-het; multivar and svgplot for pca and factor-plot,
-and rstats for pca only with --top.  The names the commands take from
-those modules are listed in ``_DEFERRED``; reading one as an attribute
-of this module imports its module first.
+and rstats for pca only with --top.  Importing a module binds here its
+public names, as the package's table ``rankmerge._EXPORTS`` lists them;
+reading any public name as an attribute of this module imports its module.
 
 The process entry, ``python -m rankmerge.cli`` or the installed
 ``rankmerge`` script (both call ``main()`` without arguments), calls
@@ -92,23 +93,6 @@ from .matrix import (
     reduce_duplicates,
     select_samples,
 )
-
-# The names the commands take from the modules imported after parsing
-# (see the module docstring).  No command calls pairwise_row_correlations
-# or wilcoxon_group_vs_rest; bench/run.py wraps them as attributes of cli.
-_DEFERRED = {
-    "transform": ("score_dataset",),
-    "rstats": (
-        "apply_fdr", "benjamini_yekutieli", "correlation_threshold",
-        "enrich_genesets", "heterogeneity_split", "kw_per_feature",
-        "median_correlation", "p_cells", "pairwise_row_correlations",
-        "parse_gmt", "rank_features", "read_results_tsv", "sample_groups",
-        "significant_features", "wilcoxon_group_vs_rest",
-        "wilcoxon_per_feature", "write_pairwise_text", "write_results_tsv",
-    ),
-    "multivar": ("factor_plot_medians", "pca", "project_first_plane"),
-    "svgplot": ("build_plot_spec", "render_svg"),
-}
 
 
 class _UsageError(Exception):
@@ -343,6 +327,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers, "
                           f"got {args.sizes!r}") from None
+    if any(s <= 0 for s in sizes):
+        raise _UsageError(f"--sizes parts must be positive, got {args.sizes!r}")
     outs = [_new_dir(Path(args.out) / f"part{i}")
             for i in range(1, len(sizes) + 1)]
     ds = load_dataset(args.dataset)
@@ -407,6 +393,8 @@ def cmd_test(args: argparse.Namespace) -> int:
                           "several datasets are the groups themselves")
     elif args.test == "wilcoxon" and len(args.datasets) != 2:
         raise _UsageError("--test wilcoxon compares exactly two dataset groups")
+    if not 0.0 < args.fdr < 1.0:
+        raise _UsageError(f"--fdr must be in (0, 1), got {args.fdr!r}")
 
     dsets = [load_dataset(p) for p in args.datasets]
     if len(dsets) == 1:
@@ -494,6 +482,9 @@ def cmd_factor_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_enrich(args: argparse.Namespace) -> int:
+    if not 0.0 < args.threshold < 1.0:
+        raise _UsageError(f"--threshold must be in (0, 1), "
+                          f"got {args.threshold!r}")
     results = read_results_tsv(args.results)
     selected = set(significant_features(results, args.threshold).features)
 
@@ -537,22 +528,23 @@ def cmd_split_het(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _bind(module: str) -> None:
-    """Import ``module`` and bind the names the commands take from it.
+    """Import ``module`` and bind each public name that it defines.
 
     A name already bound stays: the traced benchmark may have replaced
     it with a wrapper before the command runs."""
     mod = importlib.import_module(f".{module}", __package__)
-    for name in _DEFERRED.get(module, ()):
-        globals().setdefault(name, getattr(mod, name))
+    for name, home in importlib.import_module(__package__)._EXPORTS.items():
+        if home == module:
+            globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
-    """A name of ``_DEFERRED``, imported on first use."""
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A public name of the package, imported on first use; no other
+    package attribute (``__path__`` would make this module a package)."""
+    package = importlib.import_module(__package__)
+    if name not in package._EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(package, name)
 
 
 def _import_modules(command: _Parser, args: argparse.Namespace) -> None:

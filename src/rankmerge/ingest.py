@@ -100,27 +100,17 @@ def open_text(path: str | Path):
 def text_lines(source):
     r"""The lines of a path or of a line iterable, without line ends.
 
-    A file is read whole and split on "\n": universal newlines have
-    turned "\r" and "\r\n" into "\n", and ``str.splitlines`` would also
-    split on U+2028, "\x1c" and others.  Undecodable bytes are the
-    ParseError of :func:`open_text`.
+    A file is streamed as it decodes and split on "\n" only: universal
+    newlines have turned "\r" and "\r\n" into "\n", and U+2028, "\x1c"
+    and the other breaks of ``str.splitlines`` stay inside a line.
+    Undecodable bytes are the ParseError of :func:`open_text`, raised
+    when the reader meets them, after any fault on an earlier line.
     """
     if not isinstance(source, (str, Path)):
         yield from (raw.rstrip("\r\n") for raw in source)
         return
     with open_text(source) as fh:
-        try:
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError:
-            # line by line, a fault before the undecodable chunk comes first
-            fh.seek(0)
-            yield from (raw.rstrip("\n") for raw in fh)
-            return
-    if lines[-1] == "":
-        lines.pop()
-    lines.reverse()  # let each line go once taken: readers keep copies
-    while lines:
-        yield lines.pop()
+        yield from (raw.rstrip("\n") for raw in fh)
 
 
 def read_tab_table(source, prefix: str = ""):

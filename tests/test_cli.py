@@ -377,7 +377,7 @@ class TestTestCommand:
         out = tmp_path / "kw.tsv"
         code, _, stderr = run(capsys, "test", ds, "--test", "kw",
                               "--field", "grp", "--fdr", "1.5", "--out", out)
-        assert code == 1 and "threshold must be in (0, 1)" in stderr
+        assert code == 1 and "--fdr must be in (0, 1), got 1.5" in stderr
         assert not out.exists()
         assert not (tmp_path / "kw.tsv.partial").exists()
 
@@ -1012,10 +1012,13 @@ def test_cli_import_leaves_out_url_modules():
 
 
 def _package_imports(module: str) -> set[str]:
-    """The package modules that ``module``'s top level imports."""
+    """The package modules that ``module``'s top level imports:
+    ``from .x import y`` imports ``x``, ``from . import x`` imports ``x``."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    return {node.module for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1}
+    return {name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module
+                         else [alias.name for alias in node.names])}
 
 
 def test_each_command_loads_only_its_declared_modules(tmp_path):

@@ -231,6 +231,44 @@ def test_threads_below_one_exit_1_before_any_output(tmp_path, capsys, inputs,
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, dest, value, refusal", [
+    ("test", "fdr", 1.5, "--fdr must be in (0, 1), got 1.5"),
+    ("test", "fdr", 0, "--fdr must be in (0, 1), got 0.0"),
+    ("test", "fdr", "nan", "--fdr must be in (0, 1), got nan"),
+    ("enrich", "threshold", 1, "--threshold must be in (0, 1), got 1.0"),
+    ("enrich", "threshold", -0.5, "--threshold must be in (0, 1), got -0.5"),
+    ("partition", "sizes", "3,0", "--sizes parts must be positive, got '3,0'"),
+    ("partition", "sizes", "-1,13",
+     "--sizes parts must be positive, got '-1,13'"),
+])
+def test_out_of_range_option_exit_1_with_a_missing_input(
+        tmp_path, capsys, command, dest, value, refusal):
+    # the command line alone shows the fault, so it is refused before any
+    # input is read and a missing input (exit 2) never hides it, from the
+    # flag, the command's section or the top-level key; --sizes is
+    # required, so it comes from the command line only
+    out = tmp_path / "out"
+    out.mkdir()
+    missing = tmp_path / "missing"
+    argv = [command, *{
+        "test": [missing, "--test", "kw", "--field", "grp",
+                 "--out", out / "r.tsv"],
+        "enrich": [missing / "r.tsv", missing / "sets.gmt",
+                   "--out", out / "e.tsv"],
+        "partition": [missing, "--out", out / "parts"],
+    }[command]]
+    cases = [[f"--{dest}={value}"]]
+    if isinstance(value, (int, float)):
+        for i, config in enumerate(({command: {dest: value}}, {dest: value})):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(config))
+            cases.append(["--config", cfg])
+    for given in cases:
+        code, stdout, stderr = run(capsys, *argv, *given)
+        assert (code, stdout, stderr) == (1, "", f"error: {refusal}\n"), given
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("config", [{"seed": 5}, {"partition": {"seed": 11}},
                                     {"seed": 5, "partition": {"seed": 11}}])
 @pytest.mark.parametrize("before", [True, False])

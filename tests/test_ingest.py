@@ -22,6 +22,7 @@ from rankmerge.ingest import (
     parse_series_matrix,
     save_dataset,
     serialize_series_matrix,
+    text_lines,
 )
 from rankmerge.matrix import DataMatrix, Dataset, InfoMatrix
 from test_cli import fabricated_results
@@ -816,3 +817,61 @@ def test_missing_input_exit_2_in_every_command(tmp_path, capsys, command):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith(f"error: {missing}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.tsv", "toy"]
+
+
+# ---------------------------------------------------------------------------
+# the line reader
+# ---------------------------------------------------------------------------
+
+CHUNK = 8192  # bytes io.TextIOWrapper decodes at a time
+
+
+def reference_lines(data: bytes):
+    r"""The lines of ``data`` taken as bytes: "\r\n" and then "\r" become
+    "\n", the split is on "\n" only, one trailing empty line is dropped,
+    and each line decodes on its own (an undecodable one: ParseError)."""
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    for line in lines:
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("not UTF-8") from None
+
+
+def read_to_first_fault(lines):
+    """The lines before the first one reading "FAULT" (the fault a parser
+    would raise there), and how the read ended."""
+    seen = []
+    try:
+        for line in lines:
+            if line == "FAULT":
+                return seen, "fault"
+            seen.append(line)
+    except ParseError:
+        return seen, "undecodable"
+    return seen, "end"
+
+
+@pytest.mark.parametrize("data", [
+    b"x" * (CHUNK - 1) + b"\r\nnext\r\n",
+    b"x" * (CHUNK - 1) + b"\rnext",
+    b"x" * (CHUNK - 1) + "\u00e9\n".encode(),
+    b"a\rb\r\nc\n\rd\r",
+    "a\u2028b\tc\x85d\te\x1cf\x1d\x1e\x0b\x0cg\n".encode(),
+    b"a\nb",
+    b"",
+    b"\n\na\n\n",
+    "\ufeffid\tv\n1\t2\n".encode(),
+    b"\xff\nFAULT\n",
+    b"a\nFAULT\n" + b"b\n" * CHUNK + b"\xff\n",
+], ids=["crlf-across-chunks", "cr-at-chunk-end", "utf8-across-chunks",
+        "lone-cr", "separators-in-cell", "no-final-newline", "empty",
+        "blank-lines", "bom", "undecodable-first-chunk",
+        "fault-before-undecodable-chunk"])
+def test_text_lines_match_a_bytes_reference(tmp_path, data):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    assert (read_to_first_fault(text_lines(path))
+            == read_to_first_fault(reference_lines(data)))
